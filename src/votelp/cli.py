@@ -4,7 +4,9 @@ Every analysis subcommand emits one JSON report on standard output (schema
 in the README); ``bench`` emits CSV and ``gen``/``matrix sp``/``matrix sc``
 emit the plain text formats.  Exit status: 0 on success, 2 on malformed
 input or contradictory parameters, 3 when ``--audit --strict`` detects a
-mismatch against the brute-force oracle.  Rationals are serialized as
+mismatch against the brute-force oracle, 4 on an internal failure (any other
+exception), which prints ``{"error": "<ExceptionType>: <message>"}`` on
+standard output instead of a traceback.  Rationals are serialized as
 ``p/q`` strings.  Reports are byte-identical across identical invocations
 except for the ``timings`` field.
 """
@@ -34,6 +36,7 @@ from .simplex import solve_ip
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
 EXIT_MISMATCH = 3
+EXIT_INTERNAL = 4
 
 
 class CliError(Exception):
@@ -519,6 +522,10 @@ def main(argv=None) -> int:
     except (CliError, model.ProfileFormatError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_BAD_INPUT
+    except Exception as exc:  # internal failure: a JSON error, not a traceback
+        error = {"error": f"{type(exc).__name__}: {exc}"}
+        sys.stdout.write(json.dumps(error, sort_keys=True) + "\n")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,37 +1,21 @@
 """Exact rational arithmetic helpers.
 
-All numeric computation in this package is exact: values are rationals in
-lowest terms with positive denominators.  When gmpy2 is installed its mpq
-type is used (noticeably faster); otherwise the stdlib Fraction is a
-drop-in replacement.  Both expose ``.numerator``/``.denominator`` and print
-as ``p/q`` (or ``p`` for integers), which is what the text formats rely on.
+All numeric computation in this package is exact: values are
+``fractions.Fraction`` rationals in lowest terms with positive denominators.
+They expose ``.numerator``/``.denominator`` and print as ``p/q`` (or ``p``
+for integers), which is what the text formats rely on.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-try:
-    from gmpy2 import mpq as _mpq
-except ImportError:  # pragma: no cover - gmpy2 is an optional speedup
-    _mpq = None
 
-
-if _mpq is not None:
-
-    def rat(numerator, denominator=None):
-        """Build an exact rational from ints, strings like ``"3/4"``, or rationals."""
-        if denominator is None:
-            return _mpq(numerator)
-        return _mpq(numerator, denominator)
-
-else:  # pragma: no cover - exercised only without gmpy2
-
-    def rat(numerator, denominator=None):
-        """Build an exact rational from ints, strings like ``"3/4"``, or rationals."""
-        if denominator is None:
-            return Fraction(numerator)
-        return Fraction(numerator, denominator)
+def rat(numerator, denominator=None):
+    """Build an exact rational from ints, strings like ``"3/4"``, or rationals."""
+    if denominator is None:
+        return Fraction(numerator)
+    return Fraction(numerator, denominator)
 
 
 ZERO = rat(0)

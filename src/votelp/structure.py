@@ -1,11 +1,14 @@
 """Structural tests on profiles and 0/±1 matrices.
 
 Builds the top-initial-segment incidence matrix (one row per voter/rank
-pair) and the pairwise-comparison matrix (one column per voter), recognizes
-the consecutive-ones property by backtracking column placement, and tests
-total unimodularity with the Ghouila-Houri row-signing criterion at desk
-scale.  Single-peaked, single-crossing and candidate-interval recognition
-all reduce to the consecutive-ones test.
+pair), the ballot matrix and the pairwise-comparison matrix (one column per
+voter), recognizes the consecutive-ones property by an iterative
+backtracking column placement, and tests total unimodularity with the
+Ghouila-Houri row-signing criterion at desk scale.  Single-peaked and
+candidate-interval recognition reduce to the consecutive-ones test on the
+distinct orders or ballots; single-crossing recognition sorts the distinct
+orders by their disagreement with an end of the chain.  Every recognizer
+re-checks its certificate before returning it.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .model import ApprovalProfile, Axis, Profile
+from .model import ApprovalProfile, Axis, Profile, WeakOrder
 
 
 def _validate_grid(entries, allowed, row_labels, col_labels):
@@ -167,10 +170,13 @@ def has_c1p(matrix: BinaryMatrix):
     split by the current prefix (some 1s placed, some not), its placed part
     must sit flush against the prefix end, so the next column is forced to
     lie in every split row; that intersection is exactly the candidate set,
-    which makes the search complete.  Worst case is exponential, which is
-    fine at desk scale; the returned permutation is re-verified before it is
-    handed out.  Returns the permutation (new position -> old column index)
-    or None.
+    which makes the search complete.  Candidates are tried in ascending
+    order, so the result is the lexicographically smallest valid
+    permutation.  The search keeps its own stack of candidate iterators (one
+    per placed column), so its depth is not bounded by the interpreter's
+    recursion limit.  Worst case is exponential, which is fine at desk
+    scale; the returned permutation is re-verified before it is handed out.
+    Returns the permutation (new position -> old column index) or None.
     """
     m = matrix.num_cols
     row_sets = {
@@ -184,27 +190,30 @@ def has_c1p(matrix: BinaryMatrix):
     order: list[int] = []
     placed: set[int] = set()
 
-    def extend() -> bool:
-        if len(order) == m:
-            return True
+    def candidates():
         open_parts = [r - placed for r in rows if placed & r and not r <= placed]
         if open_parts:
-            candidates = set(open_parts[0])
+            cands = set(open_parts[0])
             for part in open_parts[1:]:
-                candidates &= part
+                cands &= part
         else:
-            candidates = set(range(m)) - placed
-        for col in sorted(candidates):
-            order.append(col)
-            placed.add(col)
-            if extend():
-                return True
-            order.pop()
-            placed.remove(col)
-        return False
+            cands = set(range(m)) - placed
+        return iter(sorted(cands))
 
-    if not extend():
-        return None
+    # stack[d] yields the untried candidates for position d
+    stack = []
+    while len(order) < m:
+        if len(stack) == len(order):
+            stack.append(candidates())
+        col = next(stack[-1], None)
+        if col is None:
+            stack.pop()
+            if not order:
+                return None
+            placed.remove(order.pop())
+            continue
+        order.append(col)
+        placed.add(col)
     perm = tuple(order)
     if not is_strong_c1p(apply_column_permutation(matrix, perm)):  # pragma: no cover
         raise AssertionError("contiguity search produced an invalid permutation")
@@ -218,16 +227,23 @@ def _axis_from_c1p(matrix: BinaryMatrix):
     return Axis(tuple(matrix.col_labels[j] for j in perm)).canonical()
 
 
+def _distinct(items) -> tuple:
+    """The distinct items, in order of first occurrence."""
+    return tuple(dict.fromkeys(items))
+
+
 def is_single_peaked(profile: Profile):
     """Return a certifying axis (canonical direction) or None.
 
     The axis certifies that every top-initial segment of every voter is an
-    interval of it, which is re-checked before returning.
+    interval of it, which is re-checked before returning.  Identical voters
+    give identical segment rows, so only the distinct orders are examined.
     """
-    axis = _axis_from_c1p(build_sp_matrix(profile))
+    distinct = Profile(profile.alternatives, _distinct(profile.voters))
+    axis = _axis_from_c1p(build_sp_matrix(distinct))
     if axis is None:
         return None
-    for order in profile.voters:
+    for order in distinct.voters:
         for t in range(1, order.num_classes + 1):
             if not axis.is_interval(order.top_segment(t)):  # pragma: no cover
                 raise AssertionError("reported axis fails the segment-interval check")
@@ -236,32 +252,55 @@ def is_single_peaked(profile: Profile):
 
 def is_candidate_interval(approval: ApprovalProfile):
     """Return an axis on which every ballot is an interval, or None."""
-    axis = _axis_from_c1p(build_ballot_matrix(approval))
+    distinct = ApprovalProfile(approval.alternatives, _distinct(approval.ballots))
+    axis = _axis_from_c1p(build_ballot_matrix(distinct))
     if axis is None:
         return None
-    for ballot in approval.ballots:
+    for ballot in distinct.ballots:
         if not axis.is_interval(ballot):  # pragma: no cover
             raise AssertionError("reported axis fails the ballot-interval check")
     return axis
 
 
 def is_single_crossing(profile: Profile):
-    """Return a certifying voter ordering (0-based, canonical direction) or None."""
-    perm = has_c1p(build_sc_matrix(profile))
-    if perm is None:
-        return None
-    rev = tuple(reversed(perm))
-    ordering = min(perm, rev)
+    """Return a certifying voter ordering (0-based, canonical direction) or None.
+
+    Along a single-crossing chain of distinct orders, the set of pairs on
+    which an order disagrees with the first one only grows, so the chain is
+    unique up to reversal, the order farthest from any order is one of its
+    ends, and sorting by disagreement with that end recovers it.  Identical
+    voters must sit together, so each group is expanded with ascending
+    indices and the smaller of the two directions is returned: the
+    lexicographically smallest certifying ordering.  Grouping the voters
+    and the final check that every pair's supporters are contiguous, which
+    decides the answer, are linear in the number of voters; the rest grows
+    with the number of distinct orders.  Raises ValueError on weak orders.
+    """
+    if not profile.is_linear():
+        raise ValueError("single-crossing recognition requires linear orders")
+    groups: dict[WeakOrder, list[int]] = {}
+    for i, order in enumerate(profile.voters):
+        groups.setdefault(order, []).append(i)
+    orders = list(groups)  # ascending by first voter index
+    pairs = list(itertools.combinations(profile.alternatives, 2))
+
+    def disagreements(u, v) -> int:
+        return sum(1 for a, b in pairs if u.prefers(a, b) != v.prefers(a, b))
+
+    # max and sorted keep the first of equal keys: ties go to the first voter
+    end = max(orders, key=lambda v: disagreements(orders[0], v))
+    chain = sorted(orders, key=lambda v: disagreements(end, v))
+    forward = tuple(i for v in chain for i in groups[v])
+    backward = tuple(i for v in reversed(chain) for i in groups[v])
+    ordering = min(forward, backward)
+    voters = [profile.voters[i] for i in ordering]
     for a in profile.alternatives:
         for b in profile.alternatives:
             if a == b:
                 continue
-            supporters = {i for i, v in enumerate(profile.voters) if v.prefers(a, b)}
-            positions = sorted(ordering.index(i) for i in supporters)
+            positions = [pos for pos, v in enumerate(voters) if v.prefers(a, b)]
             if positions and positions[-1] - positions[0] + 1 != len(positions):
-                raise AssertionError(  # pragma: no cover
-                    "reported voter ordering fails the interval check"
-                )
+                return None
     return ordering
 
 

@@ -4,6 +4,9 @@ import sys
 
 import pytest
 
+import votelp.cli
+from votelp import generate_single_crossing, serialize_profile
+
 E1_TEXT = "3\na b c\n1: a > b > c\n1: b > a > c\n1: c > b > a\n"
 E3_TEXT = "3\na b c\n2: c > a > b\n1: b > a > c\n"
 CYCLE_TEXT = "3\na b c\n1: a > b > c\n1: b > c > a\n1: c > a > b\n"
@@ -153,6 +156,13 @@ class TestRecognizeCommand:
         report = run_json("recognize", "--format", "approval", "--input", str(path))
         assert report["candidate_interval"] == ["a", "b", "c", "d"]
 
+    def test_many_voters_single_crossing(self, tmp_path):
+        profile, ordering = generate_single_crossing(4, 1500, 8)
+        path = tmp_path / "sc.prof"
+        path.write_text(serialize_profile(profile))
+        report = run_json("recognize", "--input", str(path))
+        assert report["single_crossing"] == list(ordering)
+
     def test_weak_orders_have_no_crossing_field_value(self, tmp_path):
         path = tmp_path / "ties.prof"
         path.write_text("3\na b c\n1: {a,b} > c\n1: c > {a,b}\n")
@@ -224,6 +234,17 @@ class TestMatrixCommands:
         assert report["result"] == "not_tu"
         assert abs(report["witness"]["det"]) == 2
 
+    def test_c1p_long_path(self, tmp_path):
+        ncols = 1500
+        rows = (
+            " ".join("1" if j in (i, i + 1) else "0" for j in range(ncols))
+            for i in range(ncols - 1)
+        )
+        path = tmp_path / "path.mat"
+        path.write_text(f"{ncols - 1} {ncols}\n" + "\n".join(rows) + "\n")
+        report = run_json("matrix", "c1p", "--input", str(path))
+        assert report["permutation"] == list(range(ncols))
+
     def test_c1p_rejects_signed(self, tmp_path):
         path = tmp_path / "signed.mat"
         path.write_text("1 2\n1 -1\n")
@@ -265,3 +286,12 @@ class TestErrorPaths:
 
     def test_unknown_flag_exit_2(self, e1_file):
         run_cli("solve", "--rule", "cc", "--k", "1", "--input", e1_file, "--frobnicate", expect=2)
+
+    def test_internal_error_exit_4(self, e1_file, monkeypatch, capsys):
+        def broken(profile):
+            raise RuntimeError("recognizer broke")
+
+        monkeypatch.setattr(votelp.cli.structure, "is_single_peaked", broken)
+        assert votelp.cli.main(["recognize", "--input", e1_file]) == 4
+        out = capsys.readouterr().out
+        assert json.loads(out) == {"error": "RuntimeError: recognizer broke"}

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from votelp import (
     BinaryMatrix,
+    Profile,
     SignedMatrix,
     append_all_ones_row,
     apply_column_permutation,
@@ -13,6 +14,9 @@ from votelp import (
     build_sc_matrix,
     build_sp_matrix,
     dedup_rows,
+    generate_random_linear,
+    generate_single_crossing,
+    generate_single_peaked,
     has_c1p,
     is_single_crossing,
     is_single_peaked,
@@ -33,6 +37,18 @@ from helpers import (
     ranked,
     tu_by_determinant_enumeration,
 )
+
+
+def path_matrix(ncols):
+    """Rows {i, i+1}: consecutive-ones only in (a reversal of) the given order."""
+    entries = tuple(
+        tuple(1 if j in (i, i + 1) else 0 for j in range(ncols)) for i in range(ncols - 1)
+    )
+    return BinaryMatrix(
+        entries,
+        tuple(f"r{i + 1}" for i in range(ncols - 1)),
+        tuple(f"c{j + 1}" for j in range(ncols)),
+    )
 
 
 def rows_as_strings(matrix):
@@ -130,6 +146,10 @@ class TestConsecutiveOnes:
             matrix = random_binary_matrix(rng, 7, 6)
             assert (has_c1p(matrix) is not None) == c1p_by_permutation_search(matrix)
 
+    def test_long_path_needs_no_recursion(self):
+        # one placement per column: deeper than the interpreter's recursion limit
+        assert has_c1p(path_matrix(1500)) == tuple(range(1500))
+
     def test_c1p_implies_tu(self):
         rng = random.Random(77)
         found = 0
@@ -155,6 +175,47 @@ class TestRecognizers:
 
     def test_e3_voter_ordering(self):
         assert is_single_crossing(profile_e3()) == (0, 1, 2)
+
+    def test_many_voters_in_chain_order(self):
+        profile, ordering = generate_single_crossing(4, 1500, 8)
+        assert ordering == tuple(range(1500))
+        assert is_single_crossing(profile) == ordering
+
+    def test_many_single_peaked_voters_not_single_crossing(self):
+        profile, _ = generate_single_peaked(6, 150, 3)
+        assert is_single_crossing(profile) is None
+
+    def test_weak_orders_raise(self):
+        with pytest.raises(ValueError):
+            is_single_crossing(ranked("a b c", "a>b>c", "{a,b}>c"))
+
+    def test_agrees_with_exhaustive_c1p(self):
+        rng = random.Random(1609)
+        accepted = rejected = 0
+        for trial in range(120):
+            m = rng.randint(2, 5)
+            n = rng.randint(1, 7)
+            kind = trial % 4
+            if kind == 0:
+                profile, _ = generate_single_crossing(m, n, trial)
+            elif kind == 1:
+                profile, _ = generate_single_crossing(m, n, trial)
+                voters = list(profile.voters)
+                rng.shuffle(voters)
+                profile = Profile(profile.alternatives, tuple(voters))
+            elif kind == 2:
+                profile, _ = generate_single_peaked(m, n, trial)
+            else:
+                profile = generate_random_linear(m, n, trial)
+            matrix = build_sc_matrix(profile)
+            ordering = is_single_crossing(profile)
+            assert (ordering is not None) == c1p_by_permutation_search(matrix)
+            if ordering is None:
+                rejected += 1
+            else:
+                accepted += 1
+                assert is_strong_c1p(apply_column_permutation(matrix, ordering))
+        assert accepted > 0 and rejected > 0
 
     def test_two_voters_always_single_crossing(self):
         rng = random.Random(4)
