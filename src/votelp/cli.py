@@ -420,11 +420,18 @@ def _bench_trial(kind: str, rule_name: str, m: int, n: int, k: int, seed: int):
 def _cmd_bench(args) -> int:
     import random as _random
 
+    if args.k < 0:
+        raise CliError(f"--k must be non-negative, got {args.k}")
+    m_min = max(2, args.k)
+    if args.m_max < m_min:
+        raise CliError(f"--m-max must be at least {m_min}, got {args.m_max}")
+    if args.n_max < 1:
+        raise CliError(f"--n-max must be at least 1, got {args.n_max}")
     rng = _random.Random(args.seed)
     rules = _BENCH_RULES[args.kind]
     sys.stdout.write("m,n,k,rule,lp_integral,pivots,branch_nodes,micros\n")
     for trial in range(args.trials):
-        m = rng.randint(2, args.m_max)
+        m = rng.randint(m_min, args.m_max)
         n = rng.randint(1, args.n_max)
         k = args.k if args.k else min(m, rng.randint(2, 3))
         rule_name = rules[trial % len(rules)]

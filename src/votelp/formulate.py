@@ -2,10 +2,14 @@
 
 Each builder translates a profile plus rule parameters into an explicit
 sparse rational instance; ``extract_solution`` maps solver assignments back
-to committees or deleted-voter sets.  The committee formulations share one
-device: a voter earns marginal weight w'_r for every rank threshold r that
-some committee member clears, so the per-voter total telescopes back to the
-score of the best member(s).
+to committees or deleted-voter sets.  ``cc_ip``, ``owa_ip`` and ``pav_ip``
+are one program, built by ``_threshold_ip``: each voter has one row per
+column set it reads (its top segment at every rank threshold r, or its
+approval ballot), and in that row it earns slot l, worth alpha_l * w'_r,
+once l committee members lie in the set.  With the marginal weights w'_r
+the per-voter total telescopes back to the rule's score; cc is the single
+slot alpha = (1,), pav the single threshold w' = (1,).  The egalitarian
+feasibility program reads the same column sets as covering rows.
 """
 
 from __future__ import annotations
@@ -198,104 +202,79 @@ def marginal_weights(w: ScoringVector, m: int) -> tuple:
     return tuple(out)
 
 
-def _segment_columns(profile: Profile, y_index) -> list:
-    """Per voter, per rank threshold r (1..m): committee-variable indices of
-    alternatives ranked at r or better."""
-    m = profile.m
+def _columns(election) -> list:
+    """Per voter, the committee-variable indices its rows read: for a ranked
+    voter the top segment at each rank threshold r = 1..m (the full set once
+    a weak order runs out of classes), for an approval voter its ballot."""
+    y_index = {c: j for j, c in enumerate(election.alternatives)}
+    if isinstance(election, ApprovalProfile):
+        return [[sorted(y_index[c] for c in ballot)] for ballot in election.ballots]
     per_voter = []
-    for order in profile.voters:
+    for order in election.voters:
         cumulative: list[list[int]] = []
         current: list[int] = []
         for cls in order.indifference_classes:
             current = current + sorted(y_index[c] for c in cls)
             cumulative.append(current)
-        while len(cumulative) < m:
-            cumulative.append(current)
-        per_voter.append(cumulative)
+        per_voter.append(cumulative + [current] * (election.m - len(cumulative)))
     return per_voter
+
+
+def _committee_vars(election, k: int):
+    """The committee variables and the cardinality row of a size-k program."""
+    if not 1 <= k <= election.m:
+        raise ValueError("committee size out of range")
+    variables = [_binary(f"y_{c}", COMMITTEE) for c in election.alternatives]
+    cardinality = Constraint(
+        tuple((j, ONE) for j in range(election.m)), "=", rat(k), CARDINALITY_LABEL
+    )
+    return variables, [cardinality]
+
+
+def _threshold_ip(election, rank_weights, slots, k: int) -> IPInstance:
+    """The shared committee program: per voter and threshold r, slot variables
+    x_1..x_L worth ``slots[l] * rank_weights[r]`` and the row
+    x_1 + ... + x_L <= (committee members among the threshold's columns)."""
+    variables, constraints = _committee_vars(election, k)
+    ranked = not isinstance(election, ApprovalProfile)
+    objective = []
+    for i, thresholds in enumerate(_columns(election)):
+        for r, (weight, cols) in enumerate(zip(rank_weights, thresholds), start=1):
+            row = f"v{i + 1}:r{r}" if ranked else f"v{i + 1}"
+            point = "x_" + row.replace(":", "_")
+            x_base = len(variables)
+            for ell, slot in enumerate(slots, start=1):
+                variables.append(_binary(f"{point}_l{ell}", POINT))
+                if slot * weight != 0:
+                    objective.append((x_base + ell - 1, slot * weight))
+            coeffs = [(x_base + ell, ONE) for ell in range(len(slots))]
+            coeffs += [(j, -ONE) for j in cols]
+            constraints.append(Constraint(tuple(coeffs), "<=", ZERO, row))
+    return IPInstance(tuple(variables), "max", tuple(objective), tuple(constraints))
 
 
 def pav_ip(approval: ApprovalProfile, alpha: OwaVector, k: int) -> IPInstance:
     """Approval committee selection with decreasing marginal credit."""
-    if not 1 <= k <= approval.m:
-        raise ValueError("committee size out of range")
     if len(alpha) != k:
         raise ValueError("OWA vector length must equal the committee size")
-    variables = [_binary(f"y_{c}", COMMITTEE) for c in approval.alternatives]
-    y_index = {c: j for j, c in enumerate(approval.alternatives)}
-    objective = []
-    constraints = [
-        Constraint(
-            tuple((j, ONE) for j in range(approval.m)), "=", rat(k), CARDINALITY_LABEL
-        )
-    ]
-    for i, ballot in enumerate(approval.ballots):
-        x_base = len(variables)
-        for ell in range(1, k + 1):
-            variables.append(_binary(f"x_v{i + 1}_l{ell}", POINT))
-            objective.append((x_base + ell - 1, alpha.entries[ell - 1]))
-        coeffs = [(x_base + ell, ONE) for ell in range(k)]
-        coeffs += [(y_index[c], -ONE) for c in sorted(ballot, key=y_index.get)]
-        constraints.append(Constraint(tuple(coeffs), "<=", ZERO, f"v{i + 1}"))
-    return IPInstance(tuple(variables), "max", tuple(objective), tuple(constraints))
+    return _threshold_ip(approval, (ONE,), alpha.entries, k)
 
 
 def cc_ip(profile: Profile, w: ScoringVector, k: int) -> IPInstance:
     """Best-representative committee selection via rank-threshold points."""
-    if not 1 <= k <= profile.m:
-        raise ValueError("committee size out of range")
-    m = profile.m
-    wprime = marginal_weights(w, m)
-    variables = [_binary(f"y_{c}", COMMITTEE) for c in profile.alternatives]
-    y_index = {c: j for j, c in enumerate(profile.alternatives)}
-    segments = _segment_columns(profile, y_index)
-    objective = []
-    constraints = [
-        Constraint(tuple((j, ONE) for j in range(m)), "=", rat(k), CARDINALITY_LABEL)
-    ]
-    for i in range(profile.n):
-        for r in range(1, m + 1):
-            x = len(variables)
-            variables.append(_binary(f"x_v{i + 1}_r{r}", POINT))
-            if wprime[r - 1] != 0:
-                objective.append((x, wprime[r - 1]))
-            coeffs = [(x, ONE)] + [(j, -ONE) for j in segments[i][r - 1]]
-            constraints.append(Constraint(tuple(coeffs), "<=", ZERO, f"v{i + 1}:r{r}"))
-    return IPInstance(tuple(variables), "max", tuple(objective), tuple(constraints))
+    return _threshold_ip(profile, marginal_weights(w, profile.m), (ONE,), k)
 
 
 def owa_ip(profile: Profile, w: ScoringVector, alpha: OwaVector, k: int) -> IPInstance:
     """Ordered-weighted-average committee selection (non-increasing weights).
 
     Generalizes both the best-representative and the approval-credit rules:
-    the point variable for (voter, slot, rank) is earned when the committee
+    the point variable for (voter, rank, slot) is earned when the committee
     contains at least that many members at that rank or better.
     """
-    if not 1 <= k <= profile.m:
-        raise ValueError("committee size out of range")
     if len(alpha) != k:
         raise ValueError("OWA vector length must equal the committee size")
-    m = profile.m
-    wprime = marginal_weights(w, m)
-    variables = [_binary(f"y_{c}", COMMITTEE) for c in profile.alternatives]
-    y_index = {c: j for j, c in enumerate(profile.alternatives)}
-    segments = _segment_columns(profile, y_index)
-    objective = []
-    constraints = [
-        Constraint(tuple((j, ONE) for j in range(m)), "=", rat(k), CARDINALITY_LABEL)
-    ]
-    for i in range(profile.n):
-        for r in range(1, m + 1):
-            x_base = len(variables)
-            for ell in range(1, k + 1):
-                variables.append(_binary(f"x_v{i + 1}_l{ell}_r{r}", POINT))
-                coef = alpha.entries[ell - 1] * wprime[r - 1]
-                if coef != 0:
-                    objective.append((x_base + ell - 1, coef))
-            coeffs = [(x_base + ell, ONE) for ell in range(k)]
-            coeffs += [(j, -ONE) for j in segments[i][r - 1]]
-            constraints.append(Constraint(tuple(coeffs), "<=", ZERO, f"v{i + 1}:r{r}"))
-    return IPInstance(tuple(variables), "max", tuple(objective), tuple(constraints))
+    return _threshold_ip(profile, marginal_weights(w, profile.m), alpha.entries, k)
 
 
 def young_ip(profile: Profile, a: str) -> IPInstance:
@@ -336,58 +315,27 @@ def egalitarian_feasibility_ip(election, rule: RuleSpec, level) -> IPInstance:
     rows (pav), so single-peaked structure carries over to the matrix.
     """
     level = rat(level)
-    k = rule.k
+    if rule.kind not in ("cc", "pav"):
+        raise ValueError("egalitarian instances exist for 'cc' and 'pav' only")
+    variables, constraints = _committee_vars(election, rule.k)
+    columns = _columns(election)
     if rule.kind == "cc":
-        profile: Profile = election
-        if not 1 <= k <= profile.m:
-            raise ValueError("committee size out of range")
-        m = profile.m
-        padded = rule.weights.padded(m)
-        variables = [_binary(f"y_{c}", COMMITTEE) for c in profile.alternatives]
-        y_index = {c: j for j, c in enumerate(profile.alternatives)}
-        constraints = [
-            Constraint(tuple((j, ONE) for j in range(m)), "=", rat(k), CARDINALITY_LABEL)
-        ]
-        threshold = 0
-        for r in range(m, 0, -1):
-            if padded[r - 1] >= level:
-                threshold = r
-                break
-        segments = _segment_columns(profile, y_index)
-        for i in range(profile.n):
-            cols = segments[i][threshold - 1] if threshold >= 1 else []
+        # weights are non-increasing: the ranks worth at least ``level`` are 1..threshold
+        threshold = sum(1 for w in rule.weights.padded(election.m) if w >= level)
+        for i, segments in enumerate(columns):
+            cols = segments[threshold - 1] if threshold >= 1 else []
             constraints.append(
                 Constraint(tuple((j, ONE) for j in cols), ">=", ONE, f"v{i + 1}")
             )
-        return IPInstance(tuple(variables), "max", (), tuple(constraints))
-    if rule.kind == "pav":
-        approval: ApprovalProfile = election
-        if not 1 <= k <= approval.m:
-            raise ValueError("committee size out of range")
-        variables = [_binary(f"y_{c}", COMMITTEE) for c in approval.alternatives]
-        y_index = {c: j for j, c in enumerate(approval.alternatives)}
-        constraints = [
-            Constraint(
-                tuple((j, ONE) for j in range(approval.m)), "=", rat(k), CARDINALITY_LABEL
-            )
-        ]
-        sums = rule.owa.prefix_sums()
-        needed = None
-        for t, total in enumerate(sums):
-            if total >= level:
-                needed = t
-                break
-        for i, ballot in enumerate(approval.ballots):
-            coeffs = tuple(sorted((y_index[c], ONE) for c in ballot))
-            if needed is None:
-                # level exceeds the best achievable per-voter value
-                constraints.append(
-                    Constraint(coeffs, ">=", rat(k + 1), f"v{i + 1}:infeasible")
-                )
-            else:
-                constraints.append(Constraint(coeffs, ">=", rat(needed), f"v{i + 1}"))
-        return IPInstance(tuple(variables), "max", (), tuple(constraints))
-    raise ValueError("egalitarian instances exist for 'cc' and 'pav' only")
+    else:
+        # prefix sums are non-decreasing: ``needed`` approved members reach ``level``,
+        # and needed = k + 1 means level exceeds the best achievable per-voter value
+        needed = sum(1 for total in rule.owa.prefix_sums() if total < level)
+        suffix = ":infeasible" if needed > rule.k else ""
+        for i, (ballot,) in enumerate(columns):
+            coeffs = tuple((j, ONE) for j in ballot)
+            constraints.append(Constraint(coeffs, ">=", rat(needed), f"v{i + 1}{suffix}"))
+    return IPInstance(tuple(variables), "max", (), tuple(constraints))
 
 
 def egalitarian_levels(election, rule: RuleSpec) -> tuple:

@@ -150,9 +150,6 @@ class Profile:
     def is_linear(self) -> bool:
         return all(v.is_linear() for v in self.voters)
 
-    def max_num_classes(self) -> int:
-        return max(v.num_classes for v in self.voters)
-
     def reversed_voters(self) -> "Profile":
         return Profile(self.alternatives, tuple(v.reversed_order() for v in self.voters))
 
@@ -224,9 +221,6 @@ class Axis:
         if not positions:
             return True
         return positions[-1] - positions[0] + 1 == len(positions)
-
-    def reversed_axis(self) -> "Axis":
-        return Axis(tuple(reversed(self.ordering)))
 
     def canonical(self) -> "Axis":
         """The lexicographically smaller of this axis and its reverse."""

@@ -244,16 +244,12 @@ def _clamp(value, lower, upper):
     return value
 
 
-def solve_lp(inst: IPInstance, relax: bool = True, bound_overrides=None) -> LPSolution:
+def solve_lp(inst: IPInstance, bound_overrides=None) -> LPSolution:
     """Solve the linear relaxation of an instance exactly.
 
-    With ``relax=False`` the instance must not declare integral variables
-    (pass ``True`` to drop the flags for the relaxation).  Optional
-    ``bound_overrides`` maps variable index to a (lower, upper) pair; the
-    branch-and-bound driver uses it to tighten bounds per node.
+    Optional ``bound_overrides`` maps variable index to a (lower, upper) pair;
+    the branch-and-bound driver uses it to tighten bounds per node.
     """
-    if not relax and any(v.integral for v in inst.variables):
-        raise ValueError("instance has integral variables; pass relax=True")
     nstruct = inst.num_vars
     overrides = bound_overrides or {}
     bounds = []
@@ -441,7 +437,7 @@ def solve_ip(inst: IPInstance) -> SolveReport:
     Point variables are never fractional at a vertex once the committee
     variables are integral, so this branching scheme is complete.
     """
-    root = solve_lp(inst, relax=True)
+    root = solve_lp(inst)
     if root.status != "optimal":
         return SolveReport(root, False, 0, root, None)
     if is_integral(root, inst):
@@ -458,7 +454,7 @@ def solve_ip(inst: IPInstance) -> SolveReport:
     stack = _split(inst, {}, first, root.values[first])
     while stack:
         overrides = stack.pop()
-        node = solve_lp(inst, relax=True, bound_overrides=overrides)
+        node = solve_lp(inst, bound_overrides=overrides)
         nodes += 1
         if node.status != "optimal":
             continue

@@ -270,6 +270,22 @@ class TestBenchCommand:
         proc = run_cli("bench", "--kind", "random", "--trials", "3", "--seed", "8", "--m-max", "4", "--n-max", "5")
         assert len(proc.stdout.strip().splitlines()) == 4
 
+    def test_fixed_k_draws_enough_alternatives(self):
+        proc = run_cli("bench", "--kind", "sp", "--trials", "30", "--seed", "1", "--k", "3")
+        lines = proc.stdout.strip().splitlines()
+        assert len(lines) == 31
+        for line in lines[1:]:
+            m, _, k = (int(x) for x in line.split(",")[:3])
+            assert k == 3 and m >= 3
+
+    @pytest.mark.parametrize(
+        "flags",
+        [("--m-max", "1"), ("--k", "5", "--m-max", "4"), ("--n-max", "0"), ("--k", "-1")],
+    )
+    def test_bad_ranges_rejected_before_header(self, flags):
+        proc = run_cli("bench", "--kind", "sp", "--trials", "3", "--seed", "1", *flags, expect=2)
+        assert proc.stdout == ""
+
 
 class TestErrorPaths:
     def test_malformed_input_exit_2(self, tmp_path):

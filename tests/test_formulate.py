@@ -10,6 +10,7 @@ from votelp import (
     RuleSpec,
     ScoringVector,
     brute_force_committee,
+    build_ballot_matrix,
     build_sc_matrix,
     build_sp_matrix,
     cc_ip,
@@ -19,6 +20,7 @@ from votelp import (
     constraint_matrix,
     dedup_rows,
     egalitarian_feasibility_ip,
+    egalitarian_levels,
     egalitarian_solve,
     extract_solution,
     generate_candidate_interval,
@@ -31,6 +33,7 @@ from votelp import (
     relax_point_integrality,
     serialize_ip,
     solve_ip,
+    top_initial_segment,
     young_ip,
 )
 from votelp.rationals import rat
@@ -330,6 +333,27 @@ class TestObjectiveLinkage:
                 )
 
 
+def _slot_counts(inst):
+    """Distinct numbers of +1 point entries over the non-cardinality rows,
+    whose committee entries must all be -1."""
+    counts = set()
+    for con in inst.constraints[1:]:
+        roles = [(inst.variables[idx].role, coef) for idx, coef in con.coeffs]
+        assert all(coef == -1 for role, coef in roles if role == "committee")
+        counts.add(sum(1 for role, coef in roles if role == "point" and coef == 1))
+    return counts
+
+
+def _covering_rows(inst):
+    """(sense, rhs, alternatives) of each non-cardinality row with +1 entries."""
+    rows = []
+    for con in inst.constraints[1:]:
+        assert all(coef == 1 for _, coef in con.coeffs)
+        names = frozenset(inst.variables[idx].name[len("y_") :] for idx, _ in con.coeffs)
+        rows.append((con.sense, con.rhs, names))
+    return rows
+
+
 class TestConstraintStructure:
     def test_cc_rows_reproduce_segment_matrix(self):
         profile, _ = generate_single_peaked(5, 4, 99)
@@ -339,6 +363,34 @@ class TestConstraintStructure:
         assert sub.entries == msp.entries
         with_card = committee_submatrix(inst, include_cardinality=True)
         assert with_card.entries[0] == (1,) * profile.m
+        for k in (2, 3):
+            inst = owa_ip(profile, ScoringVector.borda(5), OwaVector.harmonic(k), k)
+            assert committee_submatrix(inst).entries == msp.entries
+            assert _slot_counts(inst) == {k}
+        ap, _ = generate_candidate_interval(5, 6, 99)
+        inst = pav_ip(ap, OwaVector.harmonic(2), 2)
+        assert committee_submatrix(inst).entries == build_ballot_matrix(ap).entries
+        assert _slot_counts(inst) == {2}
+
+    def test_egalitarian_rows_are_segments_and_ballots(self):
+        rng = random.Random(4242)
+        profile = random_weak_profile(rng, 5, 6)
+        rule = RuleSpec("cc", 2, weights=ScoringVector((4, 2, 2, 1, 0)))
+        for level in egalitarian_levels(profile, rule):
+            threshold = sum(1 for w in rule.weights.padded(5) if w >= level)
+            expected = [
+                (">=", 1, top_initial_segment(profile, i, min(threshold, order.num_classes)))
+                for i, order in enumerate(profile.voters)
+            ]
+            inst = egalitarian_feasibility_ip(profile, rule, level)
+            assert _covering_rows(inst) == expected
+        ap = random_approval_profile(rng, 5, 6, allow_empty=True)
+        alpha = OwaVector.harmonic(3)
+        rule = RuleSpec("pav", 3, owa=alpha)
+        for level in egalitarian_levels(ap, rule):
+            needed = alpha.prefix_sums().index(level)
+            inst = egalitarian_feasibility_ip(ap, rule, level)
+            assert _covering_rows(inst) == [(">=", needed, ballot) for ballot in ap.ballots]
 
     def test_young_rows_are_pairwise_submatrix(self):
         profile, _ = generate_single_crossing(4, 5, 17)

@@ -88,11 +88,6 @@ class TestBasicLPs:
         bad = lp([var("x")], "max", [(0, ONE)], [Constraint((), ">=", ONE, "impossible")])
         assert solve_lp(bad).status == "infeasible"
 
-    def test_relax_false_rejects_integral_instances(self):
-        inst = cc_ip(profile_e1(), ScoringVector.borda(3), 1)
-        with pytest.raises(ValueError):
-            solve_lp(inst, relax=False)
-
     def test_negative_lower_bounds(self):
         inst = lp(
             [var("x", -2, 2), var("y", -2, 2)],
