@@ -21,11 +21,8 @@ from .model import (
     generate_single_crossing,
     generate_single_peaked,
     majority_margin,
-    normalize_profile_text,
     parse_profile,
-    rank_of,
     serialize_profile,
-    top_initial_segment,
 )
 from .structure import (
     BinaryMatrix,
@@ -85,7 +82,6 @@ from .oracle import (
     young_score_bruteforce,
     young_score_median,
 )
-from .rationals import rat, rat_str
 
 __version__ = "0.1.0"
 

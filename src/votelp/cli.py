@@ -18,6 +18,7 @@ import hashlib
 import json
 import sys
 import time
+from fractions import Fraction
 
 from . import model, oracle, structure
 from .formulate import (
@@ -30,7 +31,6 @@ from .formulate import (
     pav_ip,
     young_ip,
 )
-from .rationals import parse_rat, rat_str
 from .simplex import solve_ip
 
 EXIT_OK = 0
@@ -59,8 +59,8 @@ def _parse_weights(spec: str, m: int) -> ScoringVector:
     if spec == "borda":
         return ScoringVector.borda(m)
     try:
-        return ScoringVector(tuple(parse_rat(tok) for tok in spec.split(",")))
-    except ValueError as exc:
+        return ScoringVector(tuple(Fraction(tok.strip()) for tok in spec.split(",")))
+    except (ValueError, ZeroDivisionError) as exc:
         raise CliError(f"bad --weights {spec!r}: {exc}") from exc
 
 
@@ -70,8 +70,8 @@ def _parse_owa(spec: str, k: int) -> OwaVector:
     if spec == "constant":
         return OwaVector.constant(k)
     try:
-        vec = OwaVector(tuple(parse_rat(tok) for tok in spec.split(",")))
-    except ValueError as exc:
+        vec = OwaVector(tuple(Fraction(tok.strip()) for tok in spec.split(",")))
+    except (ValueError, ZeroDivisionError) as exc:
         raise CliError(f"bad --owa {spec!r}: {exc}") from exc
     if len(vec) != k:
         raise CliError(f"--owa has length {len(vec)}, expected k={k}")
@@ -96,11 +96,11 @@ def _solve_fields(report) -> dict:
     fields = {
         "status": report.final.status,
         "lp_status": report.lp.status,
-        "lp_objective": rat_str(report.lp.objective) if report.lp.objective is not None else None,
+        "lp_objective": str(report.lp.objective) if report.lp.objective is not None else None,
         "lp_integral": report.lp_integral,
         "lp_pivots": report.lp.pivots,
         "branch_nodes": report.branch_nodes,
-        "objective": rat_str(report.final.objective) if report.final.objective is not None else None,
+        "objective": str(report.final.objective) if report.final.objective is not None else None,
     }
     if report.extracted is not None:
         if report.extracted.committee is not None:
@@ -114,8 +114,8 @@ def _rule_fields(rule: RuleSpec) -> dict:
     return {
         "kind": rule.kind,
         "k": rule.k,
-        "weights": [rat_str(w) for w in rule.weights.entries] if rule.weights else None,
-        "owa": [rat_str(a) for a in rule.owa.entries] if rule.owa else None,
+        "weights": [str(w) for w in rule.weights.entries] if rule.weights else None,
+        "owa": [str(a) for a in rule.owa.entries] if rule.owa else None,
     }
 
 
@@ -137,6 +137,57 @@ def _load_election(args, *, need: str):
     if need == "ranked" and isinstance(election, model.ApprovalProfile):
         election = election.to_profile()
     return text, election
+
+
+_ORACLE_DISAGREES = "solver disagrees with the brute-force oracle"
+_FORMULATION_GAP = (
+    "formulation gap: deletions implied by the program do not "
+    "produce a subprofile with the candidate as strict Condorcet winner"
+)
+
+
+def _rule(args, election) -> RuleSpec:
+    """The committee rule that ``--rule``, ``--k``, ``--weights`` and ``--owa`` name."""
+    if args.k > election.m:
+        raise CliError(f"k={args.k} exceeds the number of alternatives ({election.m})")
+    if args.rule == "pav":
+        return RuleSpec("pav", args.k, owa=_parse_owa(args.owa, args.k))
+    weights = _parse_weights(args.weights, election.m)
+    if args.rule == "cc":
+        return RuleSpec("cc", args.k, weights=weights)
+    return RuleSpec("owa", args.k, weights=weights, owa=_parse_owa(args.owa, args.k))
+
+
+def _committee_ip(election, rule: RuleSpec):
+    if rule.kind == "pav":
+        return pav_ip(election, rule.owa, rule.k)
+    if rule.kind == "cc":
+        return cc_ip(election, rule.weights, rule.k)
+    return owa_ip(election, rule.weights, rule.owa, rule.k)
+
+
+def _header(command: str, text: str, args, election, **fields) -> dict:
+    """The fields every solving report shares, plus the command's own."""
+    return {
+        "command": command,
+        "input_digest": _digest(text),
+        "format": args.format,
+        "recognition": _recognition_fields(election),
+        "seed": None,
+        "warnings": [],
+        **fields,
+    }
+
+
+def _finish(report: dict, started_ns: int, args, audit: dict | None, warning: str) -> int:
+    """Attach the audit and its mismatch warning, emit the report, pick the exit status."""
+    mismatch = audit is not None and not audit["match"]
+    if audit is not None:
+        report["audit"] = audit
+    if mismatch:
+        report["warnings"].append(warning)
+    _emit(report, started_ns)
+    return EXIT_MISMATCH if (mismatch and args.strict) else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -191,60 +242,28 @@ def _cmd_recognize(args) -> int:
     return EXIT_OK
 
 
-def _build_rule_and_instance(args, election):
-    if args.rule == "pav":
-        owa = _parse_owa(args.owa, args.k)
-        rule = RuleSpec("pav", args.k, owa=owa)
-        inst = pav_ip(election, owa, args.k)
-    elif args.rule == "cc":
-        weights = _parse_weights(args.weights, election.m)
-        rule = RuleSpec("cc", args.k, weights=weights)
-        inst = cc_ip(election, weights, args.k)
-    else:
-        weights = _parse_weights(args.weights, election.m)
-        owa = _parse_owa(args.owa, args.k)
-        rule = RuleSpec("owa", args.k, weights=weights, owa=owa)
-        inst = owa_ip(election, weights, owa, args.k)
-    return rule, inst
-
-
 def _cmd_solve(args) -> int:
     started = time.perf_counter_ns()
-    need = "approval" if args.rule == "pav" else "ranked"
-    text, election = _load_election(args, need=need)
-    if args.k > election.m:
-        raise CliError(f"k={args.k} exceeds the number of alternatives ({election.m})")
-    rule, inst = _build_rule_and_instance(args, election)
-    report = {
-        "command": "solve",
-        "input_digest": _digest(text),
-        "format": args.format,
-        "rule": _rule_fields(rule),
-        "recognition": _recognition_fields(election),
-        "seed": None,
-        "warnings": [],
-    }
+    text, election = _load_election(args, need="approval" if args.rule == "pav" else "ranked")
+    rule = _rule(args, election)
+    inst = _committee_ip(election, rule)
+    report = _header("solve", text, args, election, rule=_rule_fields(rule))
     solve_report = solve_ip(inst)
     report["solve"] = _solve_fields(solve_report)
-    mismatch = False
+    audit = None
     if args.audit:
         best = oracle.brute_force_committee(rule, election)
         solved = solve_report.extracted.committee if solve_report.extracted else None
-        match = (
-            solve_report.final.status == "optimal"
-            and solve_report.final.objective == best.best_value
-            and solved in best.argmax
-        )
-        report["audit"] = {
-            "oracle_value": rat_str(best.best_value),
+        audit = {
+            "oracle_value": str(best.best_value),
             "optimal_committees": sorted(sorted(c) for c in best.argmax),
-            "match": match,
+            "match": (
+                solve_report.final.status == "optimal"
+                and solve_report.final.objective == best.best_value
+                and solved in best.argmax
+            ),
         }
-        mismatch = not match
-        if mismatch:
-            report["warnings"].append("solver disagrees with the brute-force oracle")
-    _emit(report, started)
-    return EXIT_MISMATCH if (mismatch and args.strict) else EXIT_OK
+    return _finish(report, started, args, audit, _ORACLE_DISAGREES)
 
 
 def _cmd_young(args) -> int:
@@ -252,15 +271,7 @@ def _cmd_young(args) -> int:
     text, election = _load_election(args, need="ranked")
     if args.candidate not in election.alternatives:
         raise CliError(f"unknown candidate {args.candidate!r}")
-    report = {
-        "command": "young",
-        "input_digest": _digest(text),
-        "format": args.format,
-        "candidate": args.candidate,
-        "recognition": _recognition_fields(election),
-        "seed": None,
-        "warnings": [],
-    }
+    report = _header("young", text, args, election, candidate=args.candidate)
     solve_report = solve_ip(young_ip(election, args.candidate))
     report["solve"] = _solve_fields(solve_report)
     if solve_report.final.status == "optimal":
@@ -269,74 +280,50 @@ def _cmd_young(args) -> int:
         score = 0
         report["warnings"].append("score undefined; by convention 0")
     report["young_score"] = score
-    mismatch = False
+    audit = None
     if args.audit:
         oracle_score, witness = oracle.young_score_bruteforce(election, args.candidate)
-        match = score == oracle_score
-        report["audit"] = {
+        audit = {
             "oracle_score": oracle_score,
             "oracle_witness": sorted(witness),
-            "match": match,
+            "match": score == oracle_score,
         }
-        mismatch = not match
-        if mismatch:
-            report["warnings"].append(
-                "formulation gap: deletions implied by the program do not "
-                "produce a subprofile with the candidate as strict Condorcet winner"
-            )
-    _emit(report, started)
-    return EXIT_MISMATCH if (mismatch and args.strict) else EXIT_OK
+    return _finish(report, started, args, audit, _FORMULATION_GAP)
 
 
 def _cmd_egal(args) -> int:
     started = time.perf_counter_ns()
-    need = "approval" if args.rule == "pav" else "ranked"
-    text, election = _load_election(args, need=need)
-    if args.k > election.m:
-        raise CliError(f"k={args.k} exceeds the number of alternatives ({election.m})")
-    if args.rule == "pav":
-        rule = RuleSpec("pav", args.k, owa=_parse_owa(args.owa, args.k))
-    else:
-        rule = RuleSpec("cc", args.k, weights=_parse_weights(args.weights, election.m))
+    text, election = _load_election(args, need="approval" if args.rule == "pav" else "ranked")
+    rule = _rule(args, election)
     result = egalitarian_solve(election, rule)
-    report = {
-        "command": "egal",
-        "input_digest": _digest(text),
-        "format": args.format,
-        "rule": _rule_fields(rule),
-        "recognition": _recognition_fields(election),
-        "seed": None,
-        "warnings": [],
-        "egalitarian": {
-            "best_level": rat_str(result.best_level),
+    report = _header(
+        "egal",
+        text,
+        args,
+        election,
+        rule=_rule_fields(rule),
+        egalitarian={
+            "best_level": str(result.best_level),
             "committee": sorted(result.committee),
             "all_relaxations_integral": result.all_relaxations_integral(),
             "probes": [
                 {
-                    "level": rat_str(level),
+                    "level": str(level),
                     "status": rep.final.status,
                     "lp_integral": rep.lp_integral if rep.lp.status == "optimal" else None,
                 }
                 for level, rep in result.probes
             ],
         },
-    }
-    mismatch = False
+    )
+    audit = None
     if args.audit:
         best = oracle.brute_force_egalitarian(rule, election)
-        match = (
-            best.best_value == result.best_level
-            and result.committee in best.argmax
-        )
-        report["audit"] = {
-            "oracle_value": rat_str(best.best_value),
-            "match": match,
+        audit = {
+            "oracle_value": str(best.best_value),
+            "match": best.best_value == result.best_level and result.committee in best.argmax,
         }
-        mismatch = not match
-        if mismatch:
-            report["warnings"].append("solver disagrees with the brute-force oracle")
-    _emit(report, started)
-    return EXIT_MISMATCH if (mismatch and args.strict) else EXIT_OK
+    return _finish(report, started, args, audit, _ORACLE_DISAGREES)
 
 
 def _cmd_matrix(args) -> int:
@@ -404,17 +391,11 @@ def _bench_trial(kind: str, rule_name: str, m: int, n: int, k: int, seed: int):
             election, _ = model.generate_candidate_interval(m, n, seed)
         else:
             election = model.generate_random_linear(m, n, seed)
-    if rule_name == "cc":
-        inst = cc_ip(election, ScoringVector.borda(m), k)
-    elif rule_name == "pav":
-        inst = pav_ip(election, OwaVector.harmonic(k), k)
-    elif rule_name == "owa-harmonic":
-        inst = owa_ip(election, ScoringVector.borda(m), OwaVector.harmonic(k), k)
-    elif rule_name == "owa-constant":
-        inst = owa_ip(election, ScoringVector.borda(m), OwaVector.constant(k), k)
-    else:
-        inst = young_ip(election, election.alternatives[seed % m])
-    return solve_ip(inst)
+    if rule_name == "young":
+        return solve_ip(young_ip(election, election.alternatives[seed % m]))
+    rule_kind, _, owa = rule_name.partition("-")
+    flags = argparse.Namespace(rule=rule_kind, k=k, weights="borda", owa=owa or "harmonic")
+    return solve_ip(_committee_ip(election, _rule(flags, election)))
 
 
 def _cmd_bench(args) -> int:

@@ -15,19 +15,18 @@ feasibility program reads the same column sets as covering rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .model import ApprovalProfile, Profile, majority_margin
-from .rationals import ONE, ZERO, is_integer_valued, rat, rat_str
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
 
 COMMITTEE = "committee"
 POINT = "point"
 DELETION = "deletion"
 
 CARDINALITY_LABEL = "cardinality"
-
-
-def _rat_tuple(values):
-    return tuple(rat(v) for v in values)
 
 
 def _check_non_increasing(entries, what: str):
@@ -45,14 +44,14 @@ class ScoringVector:
     entries: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", _rat_tuple(self.entries))
+        object.__setattr__(self, "entries", tuple(Fraction(v) for v in self.entries))
         if not self.entries:
             raise ValueError("scoring vector must be non-empty")
         _check_non_increasing(self.entries, "scoring vector")
 
     @staticmethod
     def borda(m: int) -> "ScoringVector":
-        return ScoringVector(tuple(rat(m - r) for r in range(m)))
+        return ScoringVector(tuple(Fraction(m - r) for r in range(m)))
 
     def padded(self, m: int) -> tuple:
         """Length-m view, repeating the last entry for missing ranks."""
@@ -71,14 +70,14 @@ class OwaVector:
     entries: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", _rat_tuple(self.entries))
+        object.__setattr__(self, "entries", tuple(Fraction(v) for v in self.entries))
         if not self.entries:
             raise ValueError("OWA vector must be non-empty")
         _check_non_increasing(self.entries, "OWA vector")
 
     @staticmethod
     def harmonic(k: int) -> "OwaVector":
-        return OwaVector(tuple(rat(1, j) for j in range(1, k + 1)))
+        return OwaVector(tuple(Fraction(1, j) for j in range(1, k + 1)))
 
     @staticmethod
     def constant(k: int) -> "OwaVector":
@@ -226,7 +225,7 @@ def _committee_vars(election, k: int):
         raise ValueError("committee size out of range")
     variables = [_binary(f"y_{c}", COMMITTEE) for c in election.alternatives]
     cardinality = Constraint(
-        tuple((j, ONE) for j in range(election.m)), "=", rat(k), CARDINALITY_LABEL
+        tuple((j, ONE) for j in range(election.m)), "=", Fraction(k), CARDINALITY_LABEL
     )
     return variables, [cardinality]
 
@@ -296,7 +295,7 @@ def young_ip(profile: Profile, a: str) -> IPInstance:
     for b in profile.alternatives:
         if b == a:
             continue
-        rhs = rat(majority_margin(profile, b, a) + 1)
+        rhs = Fraction(majority_margin(profile, b, a) + 1)
         coeffs = tuple(
             (i, ONE) for i, v in enumerate(profile.voters) if v.prefers(b, a)
         )
@@ -314,7 +313,7 @@ def egalitarian_feasibility_ip(election, rule: RuleSpec, level) -> IPInstance:
     Constraint rows are top-initial-segment rows (cc) or ballot incidence
     rows (pav), so single-peaked structure carries over to the matrix.
     """
-    level = rat(level)
+    level = Fraction(level)
     if rule.kind not in ("cc", "pav"):
         raise ValueError("egalitarian instances exist for 'cc' and 'pav' only")
     variables, constraints = _committee_vars(election, rule.k)
@@ -334,7 +333,7 @@ def egalitarian_feasibility_ip(election, rule: RuleSpec, level) -> IPInstance:
         suffix = ":infeasible" if needed > rule.k else ""
         for i, (ballot,) in enumerate(columns):
             coeffs = tuple((j, ONE) for j in ballot)
-            constraints.append(Constraint(coeffs, ">=", rat(needed), f"v{i + 1}{suffix}"))
+            constraints.append(Constraint(coeffs, ">=", Fraction(needed), f"v{i + 1}{suffix}"))
     return IPInstance(tuple(variables), "max", (), tuple(constraints))
 
 
@@ -402,7 +401,7 @@ def extract_solution(inst: IPInstance, values) -> ExtractedSolution:
     if len(values) != inst.num_vars:
         raise ValueError("assignment length does not match the instance")
     for idx, var in enumerate(inst.variables):
-        if var.integral and not is_integer_valued(values[idx]):
+        if var.integral and values[idx].denominator != 1:
             raise ValueError(f"non-integral value for variable {var.name}")
     objective = ZERO
     for idx, coef in inst.objective:
@@ -536,16 +535,16 @@ def serialize_ip(inst: IPInstance) -> str:
         parts = []
         for idx, coef in coeffs:
             sign = "-" if coef < 0 else "+"
-            parts.append(f"{sign} {rat_str(abs(coef))} {inst.variables[idx].name}")
+            parts.append(f"{sign} {abs(coef)} {inst.variables[idx].name}")
         return " ".join(parts)
 
     lines = [inst.objective_sense, f"  obj: {terms(inst.objective)}", "subject to"]
     for con in inst.constraints:
-        lines.append(f"  {con.label}: {terms(con.coeffs)} {con.sense} {rat_str(con.rhs)}")
+        lines.append(f"  {con.label}: {terms(con.coeffs)} {con.sense} {con.rhs}")
     lines.append("bounds")
     for var in inst.variables:
-        upper = rat_str(var.upper) if var.upper is not None else "+inf"
-        lines.append(f"  {rat_str(var.lower)} <= {var.name} <= {upper}")
+        upper = str(var.upper) if var.upper is not None else "+inf"
+        lines.append(f"  {var.lower} <= {var.name} <= {upper}")
     integral = [v.name for v in inst.variables if v.integral]
     if integral:
         lines.append("integer")

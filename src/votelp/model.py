@@ -108,9 +108,6 @@ class WeakOrder:
             out |= cls
         return frozenset(out)
 
-    def reversed_order(self) -> "WeakOrder":
-        return WeakOrder(tuple(reversed(self.indifference_classes)))
-
     def as_linear_sequence(self) -> tuple[str, ...]:
         """The alternatives best-to-worst; defined only for linear orders."""
         if not self.is_linear():
@@ -149,9 +146,6 @@ class Profile:
 
     def is_linear(self) -> bool:
         return all(v.is_linear() for v in self.voters)
-
-    def reversed_voters(self) -> "Profile":
-        return Profile(self.alternatives, tuple(v.reversed_order() for v in self.voters))
 
 
 @dataclass(frozen=True)
@@ -212,9 +206,6 @@ class Axis:
             self, "_pos", {name: i for i, name in enumerate(self.ordering)}
         )
 
-    def position(self, name: str) -> int:
-        return self._pos[name]
-
     def is_interval(self, subset) -> bool:
         """True iff ``subset`` occupies contiguous positions (empty sets count)."""
         positions = sorted(self._pos[x] for x in subset)
@@ -230,16 +221,6 @@ class Axis:
 
 # ---------------------------------------------------------------------------
 # derived quantities
-
-
-def rank_of(profile: Profile, voter: int, alternative: str) -> int:
-    """Rank (1-based class index) of ``alternative`` in voter ``voter``'s order."""
-    return profile.voters[voter].rank(alternative)
-
-
-def top_initial_segment(profile: Profile, voter: int, t: int) -> frozenset[str]:
-    """The set of alternatives voter ``voter`` ranks at ``t`` or better."""
-    return profile.voters[voter].top_segment(t)
 
 
 def majority_margin(profile: Profile, b: str, a: str) -> int:
@@ -378,10 +359,6 @@ def serialize_profile(profile) -> str:
         lines.append(f"{run}: {rendered[idx]}")
         idx += run
     return "\n".join(lines) + "\n"
-
-
-def normalize_profile_text(text: str, format: str = "ranked") -> str:
-    return serialize_profile(parse_profile(text, format))
 
 
 # ---------------------------------------------------------------------------

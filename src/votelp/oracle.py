@@ -12,8 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .model import Profile, majority_margin
-from .rationals import ZERO
-from .formulate import RuleSpec
+from .formulate import ZERO, RuleSpec
 
 MAX_COMMITTEE_SPACE = 10**6
 MAX_YOUNG_VOTERS = 20

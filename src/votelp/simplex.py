@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .formulate import COMMITTEE, DELETION, IPInstance, extract_solution
-from .rationals import ONE, ZERO, is_integer_valued, rat
+from .formulate import COMMITTEE, DELETION, ONE, ZERO, IPInstance, extract_solution
 
 _AT_LOWER = 0
 _AT_UPPER = 1
@@ -402,7 +402,7 @@ def is_integral(solution: LPSolution, inst: IPInstance) -> bool:
     if solution.status != "optimal":
         raise ValueError("integrality is defined for optimal solutions only")
     return all(
-        is_integer_valued(solution.values[j])
+        solution.values[j].denominator == 1
         for j, var in enumerate(inst.variables)
         if var.integral
     )
@@ -414,7 +414,7 @@ def _branch_variable(inst: IPInstance, solution: LPSolution):
     best_score = None
     fallback = None
     for j, var in enumerate(inst.variables):
-        if not var.integral or is_integer_valued(solution.values[j]):
+        if not var.integral or solution.values[j].denominator == 1:
             continue
         if var.role not in (COMMITTEE, DELETION):
             if fallback is None:
@@ -483,7 +483,7 @@ def _split(inst, overrides, var, value):
     The down branch is returned last so depth-first search explores it first.
     """
     lo, up = overrides.get(var, (inst.variables[var].lower, inst.variables[var].upper))
-    floor = rat(math.floor(value))
+    floor = Fraction(math.floor(value))
     down = dict(overrides)
     down[var] = (lo, floor if up is None else min(up, floor))
     upb = dict(overrides)

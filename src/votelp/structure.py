@@ -80,16 +80,6 @@ class SignedMatrix:
         return SignedMatrix(cols, self.col_labels, self.row_labels)
 
 
-def matrix_from_rows(rows, row_labels=None, col_labels=None) -> SignedMatrix:
-    rows = tuple(tuple(r) for r in rows)
-    ncols = len(rows[0]) if rows else 0
-    if row_labels is None:
-        row_labels = tuple(f"r{i + 1}" for i in range(len(rows)))
-    if col_labels is None:
-        col_labels = tuple(f"c{j + 1}" for j in range(ncols))
-    return SignedMatrix(rows, tuple(row_labels), tuple(col_labels))
-
-
 # ---------------------------------------------------------------------------
 # profile-derived matrices
 
@@ -468,7 +458,11 @@ def parse_matrix(text: str) -> SignedMatrix:
         if len(row) != ncols:
             raise ValueError(f"expected {ncols} entries per row")
         entries.append(row)
-    return matrix_from_rows(entries)
+    return SignedMatrix(
+        tuple(entries),
+        tuple(f"r{i + 1}" for i in range(nrows)),
+        tuple(f"c{j + 1}" for j in range(ncols)),
+    )
 
 
 def serialize_matrix(matrix) -> str:

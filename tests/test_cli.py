@@ -3,9 +3,17 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import votelp.cli
-from votelp import generate_single_crossing, serialize_profile
+from votelp import (
+    OracleResult,
+    OwaVector,
+    ScoringVector,
+    generate_single_crossing,
+    serialize_profile,
+)
 
 E1_TEXT = "3\na b c\n1: a > b > c\n1: b > a > c\n1: c > b > a\n"
 E3_TEXT = "3\na b c\n2: c > a > b\n1: b > a > c\n"
@@ -193,6 +201,49 @@ class TestEgalCommand:
         assert report["audit"]["match"] is True
 
 
+class TestAuditMismatch:
+    """A disagreeing oracle reaches the report, and under --strict the exit status."""
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize(
+        "argv, oracle_name",
+        [
+            (("solve", "--rule", "cc", "--k", "1"), "brute_force_committee"),
+            (("egal", "--rule", "cc", "--k", "1"), "brute_force_egalitarian"),
+        ],
+    )
+    def test_oracle_disagreement(self, argv, oracle_name, strict, e1_file, monkeypatch, capsys):
+        real = getattr(votelp.cli.oracle, oracle_name)
+
+        def shifted(rule, election):
+            best = real(rule, election)
+            return OracleResult(best.best_value + 1, best.argmax)
+
+        monkeypatch.setattr(votelp.cli.oracle, oracle_name, shifted)
+        flags = ["--audit", "--strict"] if strict else ["--audit"]
+        status = votelp.cli.main([*argv, "--input", e1_file, *flags])
+        report = json.loads(capsys.readouterr().out)
+        assert status == (3 if strict else 0)
+        assert report["audit"]["match"] is False
+        assert "solver disagrees with the brute-force oracle" in report["warnings"]
+
+
+class TestVectorFlags:
+    @given(st.text(alphabet="0123456789/-,.x "))
+    @example("1/0")
+    @example("1,1/0")
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_vector_or_cli_error(self, spec):
+        for parse, size, kind in (
+            (votelp.cli._parse_weights, 3, ScoringVector),
+            (votelp.cli._parse_owa, 2, OwaVector),
+        ):
+            try:
+                assert isinstance(parse(spec, size), kind)
+            except votelp.cli.CliError:
+                pass
+
+
 class TestGenCommand:
     def test_deterministic_output(self):
         first = run_cli("gen", "--kind", "sp", "--m", "5", "--n", "6", "--seed", "3")
@@ -245,6 +296,13 @@ class TestMatrixCommands:
         report = run_json("matrix", "c1p", "--input", str(path))
         assert report["permutation"] == list(range(ncols))
 
+    def test_c1p_zero_rows_keeps_columns(self, tmp_path):
+        path = tmp_path / "empty.mat"
+        path.write_text("0 3\n")
+        report = run_json("matrix", "c1p", "--input", str(path))
+        assert report["c1p"] is True
+        assert report["permutation"] == [0, 1, 2]
+
     def test_c1p_rejects_signed(self, tmp_path):
         path = tmp_path / "signed.mat"
         path.write_text("1 2\n1 -1\n")
@@ -288,6 +346,23 @@ class TestBenchCommand:
 
 
 class TestErrorPaths:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("solve", "--rule", "cc", "--k", "2", "--weights", "3,2,1/0"),
+            ("solve", "--rule", "owa", "--k", "2", "--owa", "1,1/0"),
+            ("egal", "--rule", "cc", "--k", "2", "--weights", "3,2,1/0"),
+            ("egal", "--rule", "pav", "--k", "2", "--owa", "1,1/0", "--format", "approval"),
+        ],
+    )
+    def test_zero_denominator_flag_exit_2(self, argv, tmp_path, capsys):
+        path = tmp_path / "in.prof"
+        path.write_text(E2_TEXT if "approval" in argv else E1_TEXT)
+        assert votelp.cli.main([*argv, "--input", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"bad {argv[5]}" in err
+
     def test_malformed_input_exit_2(self, tmp_path):
         path = tmp_path / "broken.prof"
         path.write_text("3\na b c\n1: a > a > c\n")

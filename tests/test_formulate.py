@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction as rat
 
 import pytest
 
@@ -33,10 +34,8 @@ from votelp import (
     relax_point_integrality,
     serialize_ip,
     solve_ip,
-    top_initial_segment,
     young_ip,
 )
-from votelp.rationals import rat
 
 from helpers import (
     approval,
@@ -379,7 +378,7 @@ class TestConstraintStructure:
         for level in egalitarian_levels(profile, rule):
             threshold = sum(1 for w in rule.weights.padded(5) if w >= level)
             expected = [
-                (">=", 1, top_initial_segment(profile, i, min(threshold, order.num_classes)))
+                (">=", 1, profile.voters[i].top_segment(min(threshold, order.num_classes)))
                 for i, order in enumerate(profile.voters)
             ]
             inst = egalitarian_feasibility_ip(profile, rule, level)

@@ -16,11 +16,8 @@ from votelp import (
     is_single_crossing,
     is_single_peaked,
     majority_margin,
-    normalize_profile_text,
     parse_profile,
-    rank_of,
     serialize_profile,
-    top_initial_segment,
 )
 from votelp.model import default_alternative_names
 
@@ -80,10 +77,10 @@ class TestParsing:
 
     def test_round_trip_normalizes(self):
         text = "3\na b c\n1: {b,a} > c\n1: {a,b} > c\n"
-        normalized = normalize_profile_text(text)
+        normalized = serialize_profile(parse_profile(text))
         assert normalized == "3\na b c\n2: {a,b} > c\n"
         # normal form is a fixed point
-        assert normalize_profile_text(normalized) == normalized
+        assert serialize_profile(parse_profile(normalized)) == normalized
 
 
 @st.composite
@@ -124,27 +121,27 @@ class TestRoundTripProperty:
 class TestDerivedQuantities:
     def test_rank_examples(self):
         e1 = profile_e1()
-        assert rank_of(e1, 1, "a") == 2
-        assert rank_of(e1, 0, "a") == 1
+        assert e1.voters[1].rank("a") == 2
+        assert e1.voters[0].rank("a") == 1
         tied = ranked("a b c", "{a,b}>c")
-        assert rank_of(tied, 0, "a") == rank_of(tied, 0, "b") == 1
-        assert rank_of(tied, 0, "c") == 2
+        assert tied.voters[0].rank("a") == tied.voters[0].rank("b") == 1
+        assert tied.voters[0].rank("c") == 2
 
     def test_top_initial_segment_examples(self):
         e1 = profile_e1()
-        assert top_initial_segment(e1, 2, 2) == {"c", "b"}
-        assert top_initial_segment(e1, 0, 3) == {"a", "b", "c"}
+        assert e1.voters[2].top_segment(2) == {"c", "b"}
+        assert e1.voters[0].top_segment(3) == {"a", "b", "c"}
         tied = ranked("a b c", "{a,b}>c")
-        assert top_initial_segment(tied, 0, 1) == {"a", "b"}
+        assert tied.voters[0].top_segment(1) == {"a", "b"}
 
     def test_top_initial_segment_strictly_monotone(self):
         p = ranked("a b c d", "{a,b}>c>d", "d>c>b>a")
         for i in range(p.n):
             r = p.voters[i].num_classes
             for t in range(1, r):
-                assert top_initial_segment(p, i, t) < top_initial_segment(p, i, t + 1)
+                assert p.voters[i].top_segment(t) < p.voters[i].top_segment(t + 1)
         with pytest.raises(ValueError):
-            top_initial_segment(p, 0, 4)
+            p.voters[0].top_segment(4)
 
     def test_majority_margin_examples(self):
         assert majority_margin(profile_e1(), "b", "a") == 1
@@ -167,9 +164,10 @@ class TestDerivedQuantities:
 
         for _ in range(10):
             p = random_weak_profile(rng, rng.randint(2, 5), rng.randint(1, 5))
-            doubled = Profile(
-                p.alternatives, p.voters + p.reversed_voters().voters
+            reversed_voters = tuple(
+                WeakOrder(tuple(reversed(v.indifference_classes))) for v in p.voters
             )
+            doubled = Profile(p.alternatives, p.voters + reversed_voters)
             for a in p.alternatives:
                 for b in p.alternatives:
                     if a != b:

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction as rat
 
 import pytest
 
@@ -19,7 +20,6 @@ from votelp import (
     young_score_bruteforce,
     young_score_median,
 )
-from votelp.rationals import rat
 
 from helpers import (
     profile_cycle3,

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction as rat
 
 import pytest
 
@@ -15,8 +16,7 @@ from votelp import (
     solve_lp,
     young_ip,
 )
-from votelp.formulate import POINT, RuleSpec
-from votelp.rationals import ONE, ZERO, rat
+from votelp.formulate import ONE, POINT, ZERO, RuleSpec
 
 from helpers import coverage_gap_profile, profile_cycle3, profile_e1, profile_e3
 

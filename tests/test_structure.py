@@ -348,6 +348,12 @@ class TestMatrixUtilities:
         assert parsed.entries == matrix.entries
         assert text.splitlines()[0] == "2 3"
 
+    def test_zero_row_matrix_keeps_its_columns(self):
+        parsed = parse_matrix("0 3\n")
+        assert (parsed.num_rows, parsed.num_cols) == (0, 3)
+        assert parsed.col_labels == ("c1", "c2", "c3")
+        assert serialize_matrix(parsed) == "0 3\n"
+
     def test_parse_matrix_errors(self):
         with pytest.raises(ValueError):
             parse_matrix("2 2\n1 0\n")
