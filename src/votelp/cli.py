@@ -55,11 +55,21 @@ def _read_input(path: str) -> str:
         raise CliError(f"cannot read {path}: {exc}") from exc
 
 
+def _rationals(spec: str) -> tuple:
+    """The comma-separated rationals of a vector flag.  Exponent notation is
+    refused before ``Fraction`` would build the power of ten it names."""
+    tokens = [tok.strip() for tok in spec.split(",")]
+    for tok in tokens:
+        if "e" in tok.lower():
+            raise ValueError(f"exponent notation is not accepted: {tok!r}")
+    return tuple(Fraction(tok) for tok in tokens)
+
+
 def _parse_weights(spec: str, m: int) -> ScoringVector:
     if spec == "borda":
         return ScoringVector.borda(m)
     try:
-        return ScoringVector(tuple(Fraction(tok.strip()) for tok in spec.split(",")))
+        return ScoringVector(_rationals(spec))
     except (ValueError, ZeroDivisionError) as exc:
         raise CliError(f"bad --weights {spec!r}: {exc}") from exc
 
@@ -70,7 +80,7 @@ def _parse_owa(spec: str, k: int) -> OwaVector:
     if spec == "constant":
         return OwaVector.constant(k)
     try:
-        vec = OwaVector(tuple(Fraction(tok.strip()) for tok in spec.split(",")))
+        vec = OwaVector(_rationals(spec))
     except (ValueError, ZeroDivisionError) as exc:
         raise CliError(f"bad --owa {spec!r}: {exc}") from exc
     if len(vec) != k:

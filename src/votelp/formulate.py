@@ -3,13 +3,17 @@
 Each builder translates a profile plus rule parameters into an explicit
 sparse rational instance; ``extract_solution`` maps solver assignments back
 to committees or deleted-voter sets.  ``cc_ip``, ``owa_ip`` and ``pav_ip``
-are one program, built by ``_threshold_ip``: each voter has one row per
-column set it reads (its top segment at every rank threshold r, or its
-approval ballot), and in that row it earns slot l, worth alpha_l * w'_r,
-once l committee members lie in the set.  With the marginal weights w'_r
-the per-voter total telescopes back to the rule's score; cc is the single
-slot alpha = (1,), pav the single threshold w' = (1,).  The egalitarian
-feasibility program reads the same column sets as covering rows.
+are one program, built by ``_threshold_ip``: every voter reads one column
+set per rank threshold r (its top segment) or its approval ballot, and each
+distinct set gets one row, in which slot l is earned once l committee
+members lie in the set.  The slot is worth alpha_l times the summed w'_r of
+every (voter, threshold) reading the set, so repeated voters add weight,
+not rows, and the program size is bounded by the distinct segments or
+ballots (at most m(m+1)/2 on single-peaked or interval profiles).  With the
+marginal weights w'_r each voter's total telescopes back to the rule's
+score; cc is the single slot alpha = (1,), pav the single threshold
+w' = (1,).  The egalitarian feasibility program reads the same column sets
+as covering rows, one per voter.
 """
 
 from __future__ import annotations
@@ -231,24 +235,33 @@ def _committee_vars(election, k: int):
 
 
 def _threshold_ip(election, rank_weights, slots, k: int) -> IPInstance:
-    """The shared committee program: per voter and threshold r, slot variables
-    x_1..x_L worth ``slots[l] * rank_weights[r]`` and the row
-    x_1 + ... + x_L <= (committee members among the threshold's columns)."""
+    """The shared committee program: one row per distinct column set that some
+    (voter, threshold r) reads, with slot variables x_1..x_L and the row
+    x_1 + ... + x_L <= (committee members among the set's columns).  Slot l
+    is worth ``slots[l]`` times the summed ``rank_weights[r]`` of every
+    (voter, threshold) reading the set; the row and its point variables are
+    named after the first reader."""
     variables, constraints = _committee_vars(election, k)
     ranked = not isinstance(election, ApprovalProfile)
-    objective = []
+    readers: dict = {}  # sorted column set -> [first reader's label, summed weight]
     for i, thresholds in enumerate(_columns(election)):
         for r, (weight, cols) in enumerate(zip(rank_weights, thresholds), start=1):
-            row = f"v{i + 1}:r{r}" if ranked else f"v{i + 1}"
-            point = "x_" + row.replace(":", "_")
-            x_base = len(variables)
-            for ell, slot in enumerate(slots, start=1):
-                variables.append(_binary(f"{point}_l{ell}", POINT))
-                if slot * weight != 0:
-                    objective.append((x_base + ell - 1, slot * weight))
-            coeffs = [(x_base + ell, ONE) for ell in range(len(slots))]
-            coeffs += [(j, -ONE) for j in cols]
-            constraints.append(Constraint(tuple(coeffs), "<=", ZERO, row))
+            key = tuple(sorted(cols))
+            if key in readers:
+                readers[key][1] += weight
+            else:
+                readers[key] = [f"v{i + 1}:r{r}" if ranked else f"v{i + 1}", weight]
+    objective = []
+    for cols, (row, weight) in readers.items():
+        point = "x_" + row.replace(":", "_")
+        x_base = len(variables)
+        for ell, slot in enumerate(slots, start=1):
+            variables.append(_binary(f"{point}_l{ell}", POINT))
+            if slot * weight != 0:
+                objective.append((x_base + ell - 1, slot * weight))
+        coeffs = [(x_base + ell, ONE) for ell in range(len(slots))]
+        coeffs += [(j, -ONE) for j in cols]
+        constraints.append(Constraint(tuple(coeffs), "<=", ZERO, row))
     return IPInstance(tuple(variables), "max", tuple(objective), tuple(constraints))
 
 
@@ -268,8 +281,10 @@ def owa_ip(profile: Profile, w: ScoringVector, alpha: OwaVector, k: int) -> IPIn
     """Ordered-weighted-average committee selection (non-increasing weights).
 
     Generalizes both the best-representative and the approval-credit rules:
-    the point variable for (voter, rank, slot) is earned when the committee
-    contains at least that many members at that rank or better.
+    the point variable for (top segment, slot) is earned when the committee
+    contains at least that many members of the segment, and is worth the
+    slot weight times the summed marginal weights of every (voter, rank)
+    whose top segment it is.
     """
     if len(alpha) != k:
         raise ValueError("OWA vector length must equal the committee size")

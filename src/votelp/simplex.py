@@ -358,10 +358,14 @@ def solve_lp(inst: IPInstance, bound_overrides=None) -> LPSolution:
     if status == "unbounded":
         return LPSolution("unbounded", (), None, tab.pivots)
 
+    # a basic value sitting on a bound reuses the bound's object, so a 0/1
+    # vertex holds no rationals of its own
     values = [None] * nstruct
     for r, b in enumerate(tab.basis):
         if b < nstruct:
-            values[b] = tab.bval[r]
+            value = tab.bval[r]
+            lo, up = bounds[b]
+            values[b] = lo if value == lo else up if value == up else value
     for j in range(nstruct):
         if values[j] is None:
             values[j] = tab.xval[j]

@@ -86,8 +86,8 @@ class SignedMatrix:
 
 def build_sp_matrix(profile: Profile) -> BinaryMatrix:
     """Top-initial-segment incidence matrix: one column per alternative, one
-    row per (voter, rank threshold) pair.  Duplicate rows are retained so
-    rows stay aligned with constraints built elsewhere."""
+    row per (voter, rank threshold) pair, duplicates included.  The rows of
+    the cc/owa programs are ``dedup_rows`` of this matrix."""
     cols = profile.alternatives
     col_index = {c: j for j, c in enumerate(cols)}
     entries = []

@@ -363,6 +363,23 @@ class TestErrorPaths:
         assert out == ""
         assert f"bad {argv[5]}" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("solve", "--rule", "cc", "--k", "1", "--weights", "1e1000000,1"),
+            ("solve", "--rule", "owa", "--k", "2", "--owa", "1E1000000,1"),
+            ("egal", "--rule", "cc", "--k", "1", "--weights", "1e1000000,1"),
+            ("egal", "--rule", "pav", "--k", "2", "--owa", "1e1000000,1", "--format", "approval"),
+        ],
+    )
+    def test_exponent_flag_exit_2(self, argv, tmp_path, capsys):
+        path = tmp_path / "in.prof"
+        path.write_text(E2_TEXT if "approval" in argv else E1_TEXT)
+        assert votelp.cli.main([*argv, "--input", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"bad {argv[5]}" in err and "exponent" in err
+
     def test_malformed_input_exit_2(self, tmp_path):
         path = tmp_path / "broken.prof"
         path.write_text("3\na b c\n1: a > a > c\n")

@@ -3,11 +3,15 @@ import random
 from fractions import Fraction as rat
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from votelp import (
     CARDINALITY_LABEL,
+    ApprovalProfile,
     IPInstance,
     OwaVector,
+    Profile,
     RuleSpec,
     ScoringVector,
     brute_force_committee,
@@ -25,17 +29,21 @@ from votelp import (
     egalitarian_solve,
     extract_solution,
     generate_candidate_interval,
+    generate_random_linear,
     generate_single_crossing,
     generate_single_peaked,
     is_totally_unimodular,
     marginal_weights,
     owa_ip,
+    parse_profile,
     pav_ip,
     relax_point_integrality,
     serialize_ip,
+    serialize_profile,
     solve_ip,
     young_ip,
 )
+from votelp.model import WeakOrder, default_alternative_names
 
 from helpers import (
     approval,
@@ -358,7 +366,7 @@ class TestConstraintStructure:
         profile, _ = generate_single_peaked(5, 4, 99)
         inst = cc_ip(profile, ScoringVector.borda(5), 2)
         sub = committee_submatrix(inst)
-        msp = build_sp_matrix(profile)
+        msp = dedup_rows(build_sp_matrix(profile))
         assert sub.entries == msp.entries
         with_card = committee_submatrix(inst, include_cardinality=True)
         assert with_card.entries[0] == (1,) * profile.m
@@ -368,7 +376,7 @@ class TestConstraintStructure:
             assert _slot_counts(inst) == {k}
         ap, _ = generate_candidate_interval(5, 6, 99)
         inst = pav_ip(ap, OwaVector.harmonic(2), 2)
-        assert committee_submatrix(inst).entries == build_ballot_matrix(ap).entries
+        assert committee_submatrix(inst).entries == dedup_rows(build_ballot_matrix(ap)).entries
         assert _slot_counts(inst) == {2}
 
     def test_egalitarian_rows_are_segments_and_ballots(self):
@@ -422,7 +430,7 @@ class TestConstraintStructure:
         profile, _ = generate_single_peaked(3, 4, 7)
         inst = cc_ip(profile, ScoringVector.borda(3), 2)
         full = constraint_matrix(inst)
-        assert full.num_rows == 3 * 4 + 1 <= 16
+        assert full.num_rows == len(dedup_rows(build_sp_matrix(profile)).entries) + 1 == 7 <= 16
         assert is_totally_unimodular(full).is_tu
 
         inst = owa_ip(profile, ScoringVector.borda(3), OwaVector.harmonic(2), 2)
@@ -431,12 +439,147 @@ class TestConstraintStructure:
         ap, _ = generate_candidate_interval(5, 10, 8)
         inst = pav_ip(ap, OwaVector.harmonic(2), 2)
         full = constraint_matrix(inst)
-        assert full.num_rows == 10 + 1 <= 16
+        assert full.num_rows == len(dedup_rows(build_ballot_matrix(ap)).entries) + 1 == 9 <= 16
         assert is_totally_unimodular(full).is_tu
 
         sc, _ = generate_single_crossing(6, 9, 9)
         inst = young_ip(sc, sc.alternatives[2])
         assert is_totally_unimodular(constraint_matrix(inst)).is_tu
+
+
+def _recount(text, factors):
+    """Profile text with the count of each ``<count>:`` line multiplied by
+    the next of ``factors``."""
+    head, names, *lines = text.splitlines()
+    out = [head, names]
+    for line, factor in zip(lines, factors):
+        count, _, body = line.partition(":")
+        out.append(f"{int(count) * factor}:{body}")
+    return "\n".join(out) + "\n"
+
+
+def _format(election):
+    return "approval" if isinstance(election, ApprovalProfile) else "ranked"
+
+
+def _committee_programs(election, k):
+    """The committee programs of an election with Borda weights and harmonic
+    OWA weights, as (rule, instance) pairs."""
+    alpha = OwaVector.harmonic(k)
+    if isinstance(election, ApprovalProfile):
+        return [(RuleSpec("pav", k, owa=alpha), pav_ip(election, alpha, k))]
+    w = ScoringVector.borda(election.m)
+    return [
+        (RuleSpec("cc", k, weights=w), cc_ip(election, w, k)),
+        (RuleSpec("owa", k, weights=w, owa=alpha), owa_ip(election, w, alpha, k)),
+    ]
+
+
+@st.composite
+def counted_elections(draw):
+    """A weak-order or approval profile, a committee size and a count factor."""
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 4))
+    names = default_alternative_names(m)
+    if draw(st.booleans()):
+        ballots = tuple(frozenset(draw(st.sets(st.sampled_from(names)))) for _ in range(n))
+        election = ApprovalProfile(names, ballots)
+    else:
+        voters = []
+        for _ in range(n):
+            order = draw(st.permutations(names))
+            cuts = sorted(draw(st.sets(st.integers(1, m - 1)))) if m > 1 else []
+            bounds = [0, *cuts, m]
+            classes = [order[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+            voters.append(WeakOrder.from_classes(classes))
+        election = Profile(names, tuple(voters))
+    return election, draw(st.integers(1, m)), draw(st.integers(2, 20))
+
+
+class TestAggregatedRows:
+    """One row per distinct top segment or ballot: repeated voters add
+    weight to a row, never rows or variables."""
+
+    def test_repeated_voters_scale_the_optimum(self):
+        for seed in (1, 2):
+            for election in (
+                generate_single_peaked(8, 24, seed)[0],
+                generate_candidate_interval(8, 24, seed)[0],
+            ):
+                text = serialize_profile(election)
+                fmt = _format(election)
+                base = _committee_programs(parse_profile(text, format=fmt), 3)
+                big = _committee_programs(
+                    parse_profile(_recount(text, itertools.repeat(50)), format=fmt), 3
+                )
+                for (_, small_inst), (_, big_inst) in zip(base, big):
+                    assert big_inst.num_vars == small_inst.num_vars
+                    assert len(big_inst.constraints) == len(small_inst.constraints)
+                    small, large = solve_ip(small_inst), solve_ip(big_inst)
+                    assert large.final.objective == 50 * small.final.objective
+                    assert large.extracted.committee == small.extracted.committee
+                    assert small.lp_integral and large.lp_integral
+
+    def test_rows_bounded_by_distinct_intervals(self):
+        for m in (3, 5, 7):
+            for seed in range(3):
+                sp, _ = generate_single_peaked(m, 300, seed)
+                ci, _ = generate_candidate_interval(m, 300, seed)
+                ci = ApprovalProfile(ci.alternatives, ci.ballots + (frozenset(),))
+                for election in (sp, ci):
+                    for _, inst in _committee_programs(election, 2):
+                        assert len(inst.constraints) - 1 <= m * (m + 1) // 2 + 1
+
+    def test_matches_brute_force_on_counted_profiles(self):
+        rng = random.Random(7707)
+        for trial in range(120):
+            m, n, seed = rng.randint(2, 5), rng.randint(1, 5), rng.randrange(10**6)
+            kind = ("weak", "approval", "sp", "ci", "random")[trial % 5]
+            election = {
+                "weak": lambda: random_weak_profile(rng, m, n),
+                "approval": lambda: random_approval_profile(rng, m, n, allow_empty=True),
+                "sp": lambda: generate_single_peaked(m, n, seed)[0],
+                "ci": lambda: generate_candidate_interval(m, n, seed)[0],
+                "random": lambda: generate_random_linear(m, n, seed),
+            }[kind]()
+            counts = (rng.randint(1, 6) for _ in itertools.count())
+            text = _recount(serialize_profile(election), counts)
+            election = parse_profile(text, format=_format(election))
+            for rule, inst in _committee_programs(election, rng.randint(1, m)):
+                report = solve_ip(inst)
+                expected = brute_force_committee(rule, election)
+                assert report.final.objective == expected.best_value
+                assert report.extracted.committee in expected.argmax
+                if kind in ("sp", "ci"):
+                    assert report.lp_integral
+
+    def test_root_values_are_bound_objects(self):
+        for seed in range(3):
+            sp, _ = generate_single_peaked(6, 12, seed)
+            ci, _ = generate_candidate_interval(6, 12, seed)
+            for inst in (
+                cc_ip(sp, ScoringVector.borda(6), 2),
+                pav_ip(ci, OwaVector.harmonic(2), 2),
+            ):
+                report = solve_ip(inst)
+                assert report.lp_integral
+                for var, value in zip(inst.variables, report.lp.values):
+                    assert value is var.lower or value is var.upper
+
+    @given(counted_elections())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_multiplying_counts_scales_only_the_objective(self, case):
+        election, k, c = case
+        text = serialize_profile(election)
+        fmt = _format(election)
+        base = _committee_programs(parse_profile(text, format=fmt), k)
+        scaled = _committee_programs(
+            parse_profile(_recount(text, itertools.repeat(c)), format=fmt), k
+        )
+        for (_, inst), (_, big) in zip(base, scaled):
+            assert big.num_vars == inst.num_vars
+            assert committee_submatrix(big).entries == committee_submatrix(inst).entries
+            assert big.objective == tuple((idx, c * coef) for idx, coef in inst.objective)
 
 
 class TestInvariances:
