@@ -135,7 +135,7 @@ def _emit(report: dict, started_ns: int) -> None:
 
 
 def _load_election(args, *, need: str):
-    """Read and parse the input file; ``need`` is 'ranked', 'approval' or 'any'.
+    """Read and parse the input file; ``need`` is 'ranked' or 'approval'.
 
     Ranked rules accept approval input by reading ballots as dichotomous
     weak orders; approval rules cannot accept ranked input.
@@ -411,6 +411,8 @@ def _bench_trial(kind: str, rule_name: str, m: int, n: int, k: int, seed: int):
 def _cmd_bench(args) -> int:
     import random as _random
 
+    if args.trials < 0:
+        raise CliError(f"--trials must be non-negative, got {args.trials}")
     if args.k < 0:
         raise CliError(f"--k must be non-negative, got {args.k}")
     m_min = max(2, args.k)

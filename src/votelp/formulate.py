@@ -13,7 +13,7 @@ ballots (at most m(m+1)/2 on single-peaked or interval profiles).  With the
 marginal weights w'_r each voter's total telescopes back to the rule's
 score; cc is the single slot alpha = (1,), pav the single threshold
 w' = (1,).  The egalitarian feasibility program reads the same column sets
-as covering rows, one per voter.
+(the model's top segments or ballots) as covering rows, one per voter.
 """
 
 from __future__ import annotations
@@ -206,21 +206,17 @@ def marginal_weights(w: ScoringVector, m: int) -> tuple:
 
 
 def _columns(election) -> list:
-    """Per voter, the committee-variable indices its rows read: for a ranked
-    voter the top segment at each rank threshold r = 1..m (the full set once
-    a weak order runs out of classes), for an approval voter its ballot."""
+    """Per group of identical voters (``election.groups``), the sorted
+    committee-variable indices read at each rank threshold r = 1..m, and the
+    voters: an order's top segment at r (the full set once a weak order runs
+    out of classes), or the ballot at every threshold."""
     y_index = {c: j for j, c in enumerate(election.alternatives)}
-    if isinstance(election, ApprovalProfile):
-        return [[sorted(y_index[c] for c in ballot)] for ballot in election.ballots]
-    per_voter = []
-    for order in election.voters:
-        cumulative: list[list[int]] = []
-        current: list[int] = []
-        for cls in order.indifference_classes:
-            current = current + sorted(y_index[c] for c in cls)
-            cumulative.append(current)
-        per_voter.append(cumulative + [current] * (election.m - len(cumulative)))
-    return per_voter
+    out = []
+    for item, members in election.groups:
+        sets = (item,) if isinstance(election, ApprovalProfile) else item.top_segments
+        cols = tuple(tuple(sorted(y_index[c] for c in s)) for s in sets)
+        out.append((cols + cols[-1:] * (election.m - len(cols)), members))
+    return out
 
 
 def _committee_vars(election, k: int):
@@ -244,13 +240,14 @@ def _threshold_ip(election, rank_weights, slots, k: int) -> IPInstance:
     variables, constraints = _committee_vars(election, k)
     ranked = not isinstance(election, ApprovalProfile)
     readers: dict = {}  # sorted column set -> [first reader's label, summed weight]
-    for i, thresholds in enumerate(_columns(election)):
+    for thresholds, members in _columns(election):
+        first = f"v{members[0] + 1}"
         for r, (weight, cols) in enumerate(zip(rank_weights, thresholds), start=1):
-            key = tuple(sorted(cols))
-            if key in readers:
-                readers[key][1] += weight
+            weight *= len(members)
+            if cols in readers:
+                readers[cols][1] += weight
             else:
-                readers[key] = [f"v{i + 1}:r{r}" if ranked else f"v{i + 1}", weight]
+                readers[cols] = [f"{first}:r{r}" if ranked else first, weight]
     objective = []
     for cols, (row, weight) in readers.items():
         point = "x_" + row.replace(":", "_")
@@ -259,8 +256,8 @@ def _threshold_ip(election, rank_weights, slots, k: int) -> IPInstance:
             variables.append(_binary(f"{point}_l{ell}", POINT))
             if slot * weight != 0:
                 objective.append((x_base + ell - 1, slot * weight))
-        coeffs = [(x_base + ell, ONE) for ell in range(len(slots))]
-        coeffs += [(j, -ONE) for j in cols]
+        coeffs = [(j, -ONE) for j in cols]
+        coeffs += [(x_base + ell, ONE) for ell in range(len(slots))]
         constraints.append(Constraint(tuple(coeffs), "<=", ZERO, row))
     return IPInstance(tuple(variables), "max", tuple(objective), tuple(constraints))
 
@@ -332,23 +329,21 @@ def egalitarian_feasibility_ip(election, rule: RuleSpec, level) -> IPInstance:
     if rule.kind not in ("cc", "pav"):
         raise ValueError("egalitarian instances exist for 'cc' and 'pav' only")
     variables, constraints = _committee_vars(election, rule.k)
-    columns = _columns(election)
     if rule.kind == "cc":
         # weights are non-increasing: the ranks worth at least ``level`` are 1..threshold
         threshold = sum(1 for w in rule.weights.padded(election.m) if w >= level)
-        for i, segments in enumerate(columns):
-            cols = segments[threshold - 1] if threshold >= 1 else []
-            constraints.append(
-                Constraint(tuple((j, ONE) for j in cols), ">=", ONE, f"v{i + 1}")
-            )
+        rhs, suffix = ONE, ""
     else:
         # prefix sums are non-decreasing: ``needed`` approved members reach ``level``,
         # and needed = k + 1 means level exceeds the best achievable per-voter value
         needed = sum(1 for total in rule.owa.prefix_sums() if total < level)
+        threshold, rhs = 1, Fraction(needed)
         suffix = ":infeasible" if needed > rule.k else ""
-        for i, (ballot,) in enumerate(columns):
-            coeffs = tuple((j, ONE) for j in ballot)
-            constraints.append(Constraint(coeffs, ">=", Fraction(needed), f"v{i + 1}{suffix}"))
+    # one row per voter, in voter order
+    for i, thresholds in sorted((i, t) for t, members in _columns(election) for i in members):
+        cols = thresholds[threshold - 1] if threshold else ()
+        coeffs = tuple((j, ONE) for j in cols)
+        constraints.append(Constraint(coeffs, ">=", rhs, f"v{i + 1}{suffix}"))
     return IPInstance(tuple(variables), "max", (), tuple(constraints))
 
 

@@ -16,13 +16,16 @@ Line 1 is the number of alternatives, line 2 their names, and every further
 line is ``<count>: <order>`` where the order is a ``>``-separated list of
 groups; a group is a bare name or ``{n1,n2,...}``.  Approval format uses the
 same header and one brace group per line: ``<count>: {n1,...}``.
-Multiplicity counts are expanded eagerly into repeated voters.
+Counts are expanded into repeated voters; top segments and groups of
+identical voters are derived once, here, for every other module to read.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 
 FORBIDDEN_NAME_CHARS = set(",>{}~:")
 
@@ -73,6 +76,12 @@ class WeakOrder:
                 ranks[name] = t
         object.__setattr__(self, "_ranks", ranks)
 
+    @cached_property
+    def top_segments(self) -> tuple[frozenset[str], ...]:
+        """The alternatives of rank at most t, for t = 1..num_classes.  Built
+        on first use, so equal voters held as separate objects cost nothing."""
+        return tuple(accumulate(self.indifference_classes, frozenset.union))
+
     @staticmethod
     def from_classes(classes) -> "WeakOrder":
         return WeakOrder(tuple(frozenset(c) for c in classes))
@@ -103,10 +112,7 @@ class WeakOrder:
         """All alternatives of rank at most ``t``."""
         if not 1 <= t <= self.num_classes:
             raise ValueError(f"rank threshold {t} out of range 1..{self.num_classes}")
-        out: set[str] = set()
-        for cls in self.indifference_classes[:t]:
-            out |= cls
-        return frozenset(out)
+        return self.top_segments[t - 1]
 
     def as_linear_sequence(self) -> tuple[str, ...]:
         """The alternatives best-to-worst; defined only for linear orders."""
@@ -115,9 +121,18 @@ class WeakOrder:
         return tuple(next(iter(c)) for c in self.indifference_classes)
 
 
+def _groups(items) -> tuple:
+    """Each distinct item with the indices where it occurs, by first occurrence."""
+    groups: dict = {}
+    for i, item in enumerate(items):
+        groups.setdefault(item, []).append(i)
+    return tuple((item, tuple(members)) for item, members in groups.items())
+
+
 @dataclass(frozen=True)
 class Profile:
-    """An ordered list of voters' weak orders over named alternatives."""
+    """An ordered list of voters' weak orders over named alternatives;
+    ``groups`` (derived) pairs each distinct order with its voters' indices."""
 
     alternatives: tuple[str, ...]
     voters: tuple[WeakOrder, ...]
@@ -132,9 +147,10 @@ class Profile:
         alt_set = frozenset(self.alternatives)
         if len(alt_set) != len(self.alternatives):
             raise ValueError("duplicate alternative names")
-        for idx, order in enumerate(self.voters):
+        object.__setattr__(self, "groups", _groups(self.voters))
+        for order, members in self.groups:
             if order.alternatives() != alt_set:
-                raise ValueError(f"voter {idx} does not rank exactly the alternative set")
+                raise ValueError(f"voter {members[0]} does not rank exactly the alternative set")
 
     @property
     def m(self) -> int:
@@ -145,12 +161,13 @@ class Profile:
         return len(self.voters)
 
     def is_linear(self) -> bool:
-        return all(v.is_linear() for v in self.voters)
+        return all(order.is_linear() for order, _ in self.groups)
 
 
 @dataclass(frozen=True)
 class ApprovalProfile:
-    """Approval ballots: each voter submits a subset of the alternatives."""
+    """Approval ballots: each voter submits a subset of the alternatives;
+    ``groups`` (derived) pairs each distinct ballot with its voters' indices."""
 
     alternatives: tuple[str, ...]
     ballots: tuple[frozenset[str], ...]
@@ -165,9 +182,10 @@ class ApprovalProfile:
         alt_set = frozenset(self.alternatives)
         if len(alt_set) != len(self.alternatives):
             raise ValueError("duplicate alternative names")
-        for idx, ballot in enumerate(self.ballots):
+        object.__setattr__(self, "groups", _groups(self.ballots))
+        for ballot, members in self.groups:
             if not ballot <= alt_set:
-                raise ValueError(f"ballot {idx} approves unknown alternatives")
+                raise ValueError(f"ballot {members[0]} approves unknown alternatives")
 
     @property
     def m(self) -> int:
@@ -183,13 +201,12 @@ class ApprovalProfile:
         An empty or full approval set collapses to a single-class order.
         """
         alt_set = frozenset(self.alternatives)
-        voters = []
-        for ballot in self.ballots:
+        voters = [None] * self.n
+        for ballot, members in self.groups:
             rest = alt_set - ballot
-            if ballot and rest:
-                voters.append(WeakOrder((ballot, rest)))
-            else:
-                voters.append(WeakOrder((alt_set,)))
+            order = WeakOrder((ballot, rest) if ballot and rest else (alt_set,))
+            for i in members:
+                voters[i] = order
         return Profile(self.alternatives, tuple(voters))
 
 
@@ -231,12 +248,12 @@ def majority_margin(profile: Profile, b: str, a: str) -> int:
     if a == b:
         raise ValueError("majority margin needs two distinct alternatives")
     margin = 0
-    for order in profile.voters:
+    for order, members in profile.groups:
         ra, rb = order.rank(a), order.rank(b)
         if rb < ra:
-            margin += 1
+            margin += len(members)
         elif ra < rb:
-            margin -= 1
+            margin -= len(members)
     return margin
 
 
@@ -415,7 +432,7 @@ def generate_single_crossing(m: int, n: int, seed: int) -> tuple[Profile, tuple[
     names = default_alternative_names(m)
     current = list(names)
     rng.shuffle(current)
-    chain = [tuple(current)]
+    chain = [WeakOrder.linear(current)]
     swapped: set[frozenset[str]] = set()
     for _ in range(m * (m - 1) // 2):
         options = [
@@ -426,9 +443,9 @@ def generate_single_crossing(m: int, n: int, seed: int) -> tuple[Profile, tuple[
         j = rng.choice(options)
         swapped.add(frozenset((current[j], current[j + 1])))
         current[j], current[j + 1] = current[j + 1], current[j]
-        chain.append(tuple(current))
+        chain.append(WeakOrder.linear(current))
     positions = sorted(rng.randrange(len(chain)) for _ in range(n))
-    voters = tuple(WeakOrder.linear(chain[p]) for p in positions)
+    voters = tuple(chain[p] for p in positions)  # identical voters share one order
     return Profile(names, voters), tuple(range(n))
 
 

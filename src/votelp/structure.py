@@ -5,10 +5,11 @@ pair), the ballot matrix and the pairwise-comparison matrix (one column per
 voter), recognizes the consecutive-ones property by an iterative
 backtracking column placement, and tests total unimodularity with the
 Ghouila-Houri row-signing criterion at desk scale.  Single-peaked and
-candidate-interval recognition reduce to the consecutive-ones test on the
-distinct orders or ballots; single-crossing recognition sorts the distinct
-orders by their disagreement with an end of the chain.  Every recognizer
-re-checks its certificate before returning it.
+candidate-interval recognition are one interval-axis check: the
+consecutive-ones test on the top segments of the distinct orders, or on the
+distinct ballots, as the model derives them.  Single-crossing recognition
+sorts the distinct orders by their disagreement with an end of the chain.
+Every recognizer re-checks its certificate before returning it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .model import ApprovalProfile, Axis, Profile, WeakOrder
+from .model import ApprovalProfile, Axis, Profile
 
 
 def _validate_grid(entries, allowed, row_labels, col_labels):
@@ -89,15 +90,11 @@ def build_sp_matrix(profile: Profile) -> BinaryMatrix:
     row per (voter, rank threshold) pair, duplicates included.  The rows of
     the cc/owa programs are ``dedup_rows`` of this matrix."""
     cols = profile.alternatives
-    col_index = {c: j for j, c in enumerate(cols)}
     entries = []
     labels = []
     for i, order in enumerate(profile.voters):
-        covered = [0] * len(cols)
-        for t, cls in enumerate(order.indifference_classes, start=1):
-            for name in cls:
-                covered[col_index[name]] = 1
-            entries.append(tuple(covered))
+        for t, segment in enumerate(order.top_segments, start=1):
+            entries.append(tuple(1 if c in segment else 0 for c in cols))
             labels.append(f"v{i + 1}:t{t}")
     return BinaryMatrix(tuple(entries), tuple(labels), cols)
 
@@ -210,46 +207,35 @@ def has_c1p(matrix: BinaryMatrix):
     return perm
 
 
-def _axis_from_c1p(matrix: BinaryMatrix):
-    perm = has_c1p(matrix)
+def _interval_axis(alternatives, sets):
+    """The canonical axis on which every set is an interval, or None; every
+    set is re-checked against the axis before it is returned."""
+    entries = tuple(tuple(1 if c in s else 0 for c in alternatives) for s in sets)
+    labels = tuple(f"r{i + 1}" for i in range(len(sets)))
+    perm = has_c1p(BinaryMatrix(entries, labels, alternatives))
     if perm is None:
         return None
-    return Axis(tuple(matrix.col_labels[j] for j in perm)).canonical()
-
-
-def _distinct(items) -> tuple:
-    """The distinct items, in order of first occurrence."""
-    return tuple(dict.fromkeys(items))
+    axis = Axis(tuple(alternatives[j] for j in perm)).canonical()
+    for s in sets:
+        if not axis.is_interval(s):  # pragma: no cover
+            raise AssertionError("reported axis fails the interval check")
+    return axis
 
 
 def is_single_peaked(profile: Profile):
     """Return a certifying axis (canonical direction) or None.
 
     The axis certifies that every top-initial segment of every voter is an
-    interval of it, which is re-checked before returning.  Identical voters
-    give identical segment rows, so only the distinct orders are examined.
+    interval of it.  Identical voters give identical segments, so only the
+    distinct orders are examined.
     """
-    distinct = Profile(profile.alternatives, _distinct(profile.voters))
-    axis = _axis_from_c1p(build_sp_matrix(distinct))
-    if axis is None:
-        return None
-    for order in distinct.voters:
-        for t in range(1, order.num_classes + 1):
-            if not axis.is_interval(order.top_segment(t)):  # pragma: no cover
-                raise AssertionError("reported axis fails the segment-interval check")
-    return axis
+    segments = tuple(segment for order, _ in profile.groups for segment in order.top_segments)
+    return _interval_axis(profile.alternatives, segments)
 
 
 def is_candidate_interval(approval: ApprovalProfile):
     """Return an axis on which every ballot is an interval, or None."""
-    distinct = ApprovalProfile(approval.alternatives, _distinct(approval.ballots))
-    axis = _axis_from_c1p(build_ballot_matrix(distinct))
-    if axis is None:
-        return None
-    for ballot in distinct.ballots:
-        if not axis.is_interval(ballot):  # pragma: no cover
-            raise AssertionError("reported axis fails the ballot-interval check")
-    return axis
+    return _interval_axis(approval.alternatives, tuple(ballot for ballot, _ in approval.groups))
 
 
 def is_single_crossing(profile: Profile):
@@ -261,27 +247,24 @@ def is_single_crossing(profile: Profile):
     ends, and sorting by disagreement with that end recovers it.  Identical
     voters must sit together, so each group is expanded with ascending
     indices and the smaller of the two directions is returned: the
-    lexicographically smallest certifying ordering.  Grouping the voters
-    and the final check that every pair's supporters are contiguous, which
-    decides the answer, are linear in the number of voters; the rest grows
-    with the number of distinct orders.  Raises ValueError on weak orders.
+    lexicographically smallest certifying ordering.  The final check that
+    every pair's supporters are contiguous, which decides the answer, is
+    linear in the number of voters; the rest grows with the number of
+    distinct orders.  Raises ValueError on weak orders.
     """
     if not profile.is_linear():
         raise ValueError("single-crossing recognition requires linear orders")
-    groups: dict[WeakOrder, list[int]] = {}
-    for i, order in enumerate(profile.voters):
-        groups.setdefault(order, []).append(i)
-    orders = list(groups)  # ascending by first voter index
+    groups = profile.groups
     pairs = list(itertools.combinations(profile.alternatives, 2))
 
     def disagreements(u, v) -> int:
         return sum(1 for a, b in pairs if u.prefers(a, b) != v.prefers(a, b))
 
     # max and sorted keep the first of equal keys: ties go to the first voter
-    end = max(orders, key=lambda v: disagreements(orders[0], v))
-    chain = sorted(orders, key=lambda v: disagreements(end, v))
-    forward = tuple(i for v in chain for i in groups[v])
-    backward = tuple(i for v in reversed(chain) for i in groups[v])
+    end, _ = max(groups, key=lambda g: disagreements(groups[0][0], g[0]))
+    chain = sorted(groups, key=lambda g: disagreements(end, g[0]))
+    forward = tuple(i for _, members in chain for i in members)
+    backward = tuple(i for _, members in reversed(chain) for i in members)
     ordering = min(forward, backward)
     voters = [profile.voters[i] for i in ordering]
     for a in profile.alternatives:
@@ -418,10 +401,10 @@ def is_totally_unimodular(matrix, row_budget: int = 16) -> TUResult:
 # small matrix manipulations used by tests and reports
 
 
-def append_all_ones_row(matrix: BinaryMatrix, label: str = "ones") -> BinaryMatrix:
+def append_all_ones_row(matrix: BinaryMatrix) -> BinaryMatrix:
     row = tuple(1 for _ in range(matrix.num_cols))
     return BinaryMatrix(
-        matrix.entries + (row,), matrix.row_labels + (label,), matrix.col_labels
+        matrix.entries + (row,), matrix.row_labels + ("ones",), matrix.col_labels
     )
 
 
@@ -450,6 +433,8 @@ def parse_matrix(text: str) -> SignedMatrix:
     if len(head) != 2:
         raise ValueError("first line must be '<rows> <cols>'")
     nrows, ncols = int(head[0]), int(head[1])
+    if nrows < 0 or ncols < 0:
+        raise ValueError(f"negative matrix size: {nrows} rows, {ncols} columns")
     if len(lines) != nrows + 1:
         raise ValueError(f"expected {nrows} matrix rows, got {len(lines) - 1}")
     entries = []

@@ -159,8 +159,10 @@ def tu_by_determinant_enumeration(matrix) -> bool:
     return True
 
 
-def c1p_by_permutation_search(matrix) -> bool:
-    """Independent consecutive-ones oracle: try every column permutation."""
+def first_c1p_permutation(matrix):
+    """Independent consecutive-ones oracle: the first column permutation, in
+    ``itertools.permutations`` order, that makes every row's 1s contiguous,
+    or None."""
     rows = [tuple(row) for row in matrix.entries]
     ncols = len(matrix.col_labels)
     for perm in itertools.permutations(range(ncols)):
@@ -171,5 +173,21 @@ def c1p_by_permutation_search(matrix) -> bool:
                 ok = False
                 break
         if ok:
-            return True
-    return False
+            return perm
+    return None
+
+
+def c1p_by_permutation_search(matrix) -> bool:
+    """Does some column permutation make every row's 1s contiguous?"""
+    return first_c1p_permutation(matrix) is not None
+
+
+def recount(text, factors):
+    """Profile text with the count of each ``<count>:`` line multiplied by
+    the next of ``factors``."""
+    head, names, *lines = text.splitlines()
+    out = [head, names]
+    for line, factor in zip(lines, factors):
+        count, _, body = line.partition(":")
+        out.append(f"{int(count) * factor}:{body}")
+    return "\n".join(out) + "\n"

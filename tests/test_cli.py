@@ -303,6 +303,14 @@ class TestMatrixCommands:
         assert report["c1p"] is True
         assert report["permutation"] == [0, 1, 2]
 
+    @pytest.mark.parametrize("command", ["c1p", "tu"])
+    def test_negative_counts_exit_2(self, command, tmp_path):
+        path = tmp_path / "neg.mat"
+        path.write_text("0 -3\n")
+        proc = run_cli("matrix", command, "--input", str(path), expect=2)
+        assert proc.stdout == ""
+        assert "negative matrix size: 0 rows, -3 columns" in proc.stderr
+
     def test_c1p_rejects_signed(self, tmp_path):
         path = tmp_path / "signed.mat"
         path.write_text("1 2\n1 -1\n")
@@ -338,7 +346,13 @@ class TestBenchCommand:
 
     @pytest.mark.parametrize(
         "flags",
-        [("--m-max", "1"), ("--k", "5", "--m-max", "4"), ("--n-max", "0"), ("--k", "-1")],
+        [
+            ("--m-max", "1"),
+            ("--k", "5", "--m-max", "4"),
+            ("--n-max", "0"),
+            ("--k", "-1"),
+            ("--trials", "-1"),
+        ],
     )
     def test_bad_ranges_rejected_before_header(self, flags):
         proc = run_cli("bench", "--kind", "sp", "--trials", "3", "--seed", "1", *flags, expect=2)

@@ -55,6 +55,7 @@ from helpers import (
     random_approval_profile,
     random_weak_profile,
     ranked,
+    recount,
 )
 
 BORDA3 = ScoringVector.borda(3)
@@ -399,6 +400,32 @@ class TestConstraintStructure:
             inst = egalitarian_feasibility_ip(ap, rule, level)
             assert _covering_rows(inst) == [(">=", needed, ballot) for ballot in ap.ballots]
 
+    def test_coefficients_sorted_by_variable(self):
+        rng = random.Random(2024)
+        for trial in range(40):
+            m, n = rng.randint(2, 5), rng.randint(1, 5)
+            k = rng.randint(1, m)
+            w, alpha = ScoringVector.borda(m), OwaVector.harmonic(k)
+            ballots = random_approval_profile(rng, m, n, allow_empty=True)
+            pav = RuleSpec("pav", k, owa=alpha)
+            programs = [pav_ip(ballots, alpha, k)]
+            programs += [
+                egalitarian_feasibility_ip(ballots, pav, level)
+                for level in egalitarian_levels(ballots, pav) + (alpha.prefix_sums()[-1] + 1,)
+            ]
+            for profile in (random_weak_profile(rng, m, n), generate_random_linear(m, n, trial)):
+                cc = RuleSpec("cc", k, weights=w)
+                programs += [cc_ip(profile, w, k), owa_ip(profile, w, alpha, k)]
+                programs += [young_ip(profile, a) for a in profile.alternatives]
+                programs += [
+                    egalitarian_feasibility_ip(profile, cc, level)
+                    for level in egalitarian_levels(profile, cc) + (m,)
+                ]
+            for inst in programs:
+                for con in inst.constraints:
+                    indices = [idx for idx, _ in con.coeffs]
+                    assert indices == sorted(set(indices)), con.label
+
     def test_young_rows_are_pairwise_submatrix(self):
         profile, _ = generate_single_crossing(4, 5, 17)
         a = profile.alternatives[0]
@@ -445,17 +472,6 @@ class TestConstraintStructure:
         sc, _ = generate_single_crossing(6, 9, 9)
         inst = young_ip(sc, sc.alternatives[2])
         assert is_totally_unimodular(constraint_matrix(inst)).is_tu
-
-
-def _recount(text, factors):
-    """Profile text with the count of each ``<count>:`` line multiplied by
-    the next of ``factors``."""
-    head, names, *lines = text.splitlines()
-    out = [head, names]
-    for line, factor in zip(lines, factors):
-        count, _, body = line.partition(":")
-        out.append(f"{int(count) * factor}:{body}")
-    return "\n".join(out) + "\n"
 
 
 def _format(election):
@@ -510,7 +526,7 @@ class TestAggregatedRows:
                 fmt = _format(election)
                 base = _committee_programs(parse_profile(text, format=fmt), 3)
                 big = _committee_programs(
-                    parse_profile(_recount(text, itertools.repeat(50)), format=fmt), 3
+                    parse_profile(recount(text, itertools.repeat(50)), format=fmt), 3
                 )
                 for (_, small_inst), (_, big_inst) in zip(base, big):
                     assert big_inst.num_vars == small_inst.num_vars
@@ -543,7 +559,7 @@ class TestAggregatedRows:
                 "random": lambda: generate_random_linear(m, n, seed),
             }[kind]()
             counts = (rng.randint(1, 6) for _ in itertools.count())
-            text = _recount(serialize_profile(election), counts)
+            text = recount(serialize_profile(election), counts)
             election = parse_profile(text, format=_format(election))
             for rule, inst in _committee_programs(election, rng.randint(1, m)):
                 report = solve_ip(inst)
@@ -574,7 +590,7 @@ class TestAggregatedRows:
         fmt = _format(election)
         base = _committee_programs(parse_profile(text, format=fmt), k)
         scaled = _committee_programs(
-            parse_profile(_recount(text, itertools.repeat(c)), format=fmt), k
+            parse_profile(recount(text, itertools.repeat(c)), format=fmt), k
         )
         for (_, inst), (_, big) in zip(base, scaled):
             assert big.num_vars == inst.num_vars

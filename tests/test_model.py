@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from votelp import (
+    ApprovalProfile,
     Profile,
     ProfileFormatError,
     WeakOrder,
@@ -21,7 +22,7 @@ from votelp import (
 )
 from votelp.model import default_alternative_names
 
-from helpers import profile_e1, profile_e3, ranked
+from helpers import approval, profile_e1, profile_e3, ranked
 
 
 class TestParsing:
@@ -133,6 +134,7 @@ class TestDerivedQuantities:
         assert e1.voters[0].top_segment(3) == {"a", "b", "c"}
         tied = ranked("a b c", "{a,b}>c")
         assert tied.voters[0].top_segment(1) == {"a", "b"}
+        assert tied.voters[0].top_segments == (frozenset("ab"), frozenset("abc"))
 
     def test_top_initial_segment_strictly_monotone(self):
         p = ranked("a b c d", "{a,b}>c>d", "d>c>b>a")
@@ -142,6 +144,22 @@ class TestDerivedQuantities:
                 assert p.voters[i].top_segment(t) < p.voters[i].top_segment(t + 1)
         with pytest.raises(ValueError):
             p.voters[0].top_segment(4)
+
+    def test_groups_by_first_appearance(self):
+        p = ranked("a b c", "a>b>c", "2: c>b>a", "a>b>c")
+        assert p.groups == (
+            (WeakOrder.linear("abc"), (0, 3)),
+            (WeakOrder.linear("cba"), (1, 2)),
+        )
+        ap = approval("a b", {"a"}, set(), {"a"})
+        assert ap.groups == ((frozenset("a"), (0, 2)), (frozenset(), (1,)))
+
+    def test_validation_names_first_offending_voter(self):
+        good, short, other = WeakOrder.linear("ab"), WeakOrder.linear("a"), WeakOrder.linear("ac")
+        with pytest.raises(ValueError, match="^voter 1 does not rank"):
+            Profile(("a", "b"), (good, short, good, other, short))
+        with pytest.raises(ValueError, match="^ballot 2 approves"):
+            ApprovalProfile(("a", "b"), (frozenset("a"),) * 2 + (frozenset("z"), frozenset("y")))
 
     def test_majority_margin_examples(self):
         assert majority_margin(profile_e1(), "b", "a") == 1

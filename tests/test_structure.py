@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from votelp import (
+    Axis,
     BinaryMatrix,
     Profile,
     SignedMatrix,
@@ -14,27 +16,35 @@ from votelp import (
     build_sc_matrix,
     build_sp_matrix,
     dedup_rows,
+    generate_candidate_interval,
     generate_random_linear,
     generate_single_crossing,
     generate_single_peaked,
     has_c1p,
+    is_candidate_interval,
     is_single_crossing,
     is_single_peaked,
     is_strong_c1p,
     is_totally_unimodular,
     parse_matrix,
+    parse_profile,
     serialize_matrix,
+    serialize_profile,
 )
 
 from helpers import (
     approval,
     c1p_by_permutation_search,
+    first_c1p_permutation,
     profile_e1,
     profile_e3,
     profile_cycle3,
+    random_approval_profile,
     random_binary_matrix,
     random_signed_matrix,
+    random_weak_profile,
     ranked,
+    recount,
     tu_by_determinant_enumeration,
 )
 
@@ -217,6 +227,41 @@ class TestRecognizers:
                 assert is_strong_c1p(apply_column_permutation(matrix, ordering))
         assert accepted > 0 and rejected > 0
 
+    def test_interval_axes_match_exhaustive_search(self):
+        # the axis is pinned to the lexicographically smallest certifying
+        # permutation, in canonical direction, also when voters repeat
+        rng = random.Random(3306)
+        verdicts = set()
+        for trial in range(150):
+            m, n, seed = rng.randint(1, 5), rng.randint(1, 6), rng.randrange(10**6)
+            kind = ("sp", "random", "weak", "ci", "approval")[trial % 5]
+            election = {
+                "sp": lambda: generate_single_peaked(m, n, seed)[0],
+                "random": lambda: generate_random_linear(m, n, seed),
+                "weak": lambda: random_weak_profile(rng, m, n),
+                "ci": lambda: generate_candidate_interval(m, n, seed)[0],
+                "approval": lambda: random_approval_profile(rng, m, n, allow_empty=True),
+            }[kind]()
+            if kind in ("ci", "approval"):
+                fmt, recognize = "approval", is_candidate_interval
+                matrix = build_ballot_matrix(election)
+            else:
+                fmt, recognize, matrix = "ranked", is_single_peaked, build_sp_matrix(election)
+            perm = first_c1p_permutation(matrix)
+            expected = None
+            if perm is not None:
+                expected = Axis(tuple(matrix.col_labels[j] for j in perm)).canonical()
+            counts = (rng.randint(1, 4) for _ in itertools.count())
+            repeated = parse_profile(recount(serialize_profile(election), counts), format=fmt)
+            for profile in (election, repeated):
+                axis = recognize(profile)
+                assert (axis is not None) == c1p_by_permutation_search(matrix)
+                assert axis == expected
+            verdicts.add((kind, expected is not None))
+        mixed = ("random", "weak", "approval")
+        assert verdicts >= {(kind, ok) for kind in mixed for ok in (True, False)}
+        assert ("sp", False) not in verdicts and ("ci", False) not in verdicts
+
     def test_two_voters_always_single_crossing(self):
         rng = random.Random(4)
         for _ in range(20):
@@ -359,6 +404,9 @@ class TestMatrixUtilities:
             parse_matrix("2 2\n1 0\n")
         with pytest.raises(ValueError):
             parse_matrix("1 2\n1 0 1\n")
+        for text, named in (("0 -3\n", "-3 columns"), ("-1 2\n", "-1 rows")):
+            with pytest.raises(ValueError, match=named):
+                parse_matrix(text)
 
     def test_ballot_matrix(self):
         ap = approval("a b c", {"a", "c"}, set())
