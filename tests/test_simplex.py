@@ -7,18 +7,34 @@ import pytest
 from votelp import (
     Constraint,
     IPInstance,
+    OwaVector,
     ScoringVector,
     Variable,
     brute_force_committee,
     cc_ip,
+    egalitarian_feasibility_ip,
+    egalitarian_levels,
+    generate_candidate_interval,
+    generate_random_linear,
+    generate_single_crossing,
+    generate_single_peaked,
     is_integral,
+    owa_ip,
+    pav_ip,
     solve_ip,
     solve_lp,
     young_ip,
 )
-from votelp.formulate import ONE, POINT, ZERO, RuleSpec
+from votelp import simplex
+from votelp.formulate import DELETION, ONE, POINT, ZERO, RuleSpec
 
-from helpers import coverage_gap_profile, profile_cycle3, profile_e1, profile_e3
+from helpers import (
+    coverage_gap_profile,
+    profile_cycle3,
+    profile_e1,
+    profile_e3,
+    random_approval_profile,
+)
 
 
 def lp(variables, sense, objective, constraints):
@@ -316,3 +332,131 @@ class TestSolveIP:
             if report.final.status == "optimal" and not report.lp_integral:
                 branched += 1
         assert branched >= 2
+
+
+    def test_branch_and_bound_against_integer_enumeration(self, monkeypatch):
+        """Small bounded programs over integral deletion variables (so no
+        cardinality row) against enumeration of every integer point.  The
+        draw must reach an infeasible node, a branch below the root's two
+        children, and a fractional root with no integer point at all."""
+        node_statuses = []
+        solve_lp_exact = simplex.solve_lp
+
+        def recording_solve_lp(inst, bound_overrides=None):
+            solution = solve_lp_exact(inst, bound_overrides)
+            if bound_overrides:
+                node_statuses.append(solution.status)
+            return solution
+
+        def holds(con, point):
+            lhs = sum((c * point[j] for j, c in con.coeffs), ZERO)
+            return {"<=": lhs <= con.rhs, ">=": lhs >= con.rhs, "=": lhs == con.rhs}[con.sense]
+
+        monkeypatch.setattr(simplex, "solve_lp", recording_solve_lp)
+        rng = random.Random(977)
+        deeper = no_incumbent = 0
+        for _ in range(200):
+            nv = rng.randint(2, 4)
+            uppers = [rng.randint(1, 3) for _ in range(nv)]
+            variables = [
+                var(f"d{j}", 0, up, integral=True, role=DELETION) for j, up in enumerate(uppers)
+            ]
+            objective = [(j, rat(rng.randint(-3, 3))) for j in range(nv)]
+            constraints = []
+            for i in range(rng.randint(1, 4)):
+                coeffs = tuple(
+                    (j, rat(rng.randint(-3, 3))) for j in range(nv) if rng.random() < 0.8
+                )
+                sense = rng.choice(("<=", ">=", "="))
+                constraints.append(Constraint(coeffs, sense, rat(rng.randint(-3, 6)), f"c{i}"))
+            inst = lp(variables, rng.choice(("max", "min")), objective, constraints)
+            report = solve_ip(inst)
+            best = None
+            for point in itertools.product(*(range(up + 1) for up in uppers)):
+                if all(holds(con, point) for con in constraints):
+                    value = sum((c * point[j] for j, c in objective), ZERO)
+                    if best is None or (value > best if inst.objective_sense == "max" else value < best):
+                        best = value
+            if best is None:
+                assert report.final.status == "infeasible"
+            else:
+                assert report.final.objective == best
+                assert is_integral(report.final, inst)
+            deeper += report.branch_nodes > 2
+            no_incumbent += report.lp.status == "optimal" and report.final.status == "infeasible"
+        assert "infeasible" in node_statuses
+        assert deeper and no_incumbent
+
+def pinned_program(rule, domain, m, n, k, seed):
+    """A seeded program.  pav, and egal on ``ci``, read approval ballots (on
+    ``random`` independent coin flips); the rest read orders."""
+    approval = rule == "pav" or domain == "ci"
+    if domain == "sp":
+        election = generate_single_peaked(m, n, seed)[0]
+    elif domain == "sc":
+        election = generate_single_crossing(m, n, seed)[0]
+    elif domain == "ci":
+        election = generate_candidate_interval(m, n, seed)[0]
+    elif approval:
+        election = random_approval_profile(random.Random(seed), m, n)
+    else:
+        election = generate_random_linear(m, n, seed)
+    if rule == "cc":
+        return cc_ip(election, ScoringVector.borda(m), k)
+    if rule == "owa":
+        return owa_ip(election, ScoringVector.borda(m), OwaVector.harmonic(k), k)
+    if rule == "pav":
+        return pav_ip(election, OwaVector.harmonic(k), k)
+    if rule == "young":
+        return young_ip(election, election.alternatives[0])
+    if approval:
+        spec = RuleSpec("pav", k, owa=OwaVector.harmonic(k))
+    else:
+        spec = RuleSpec("cc", k, weights=ScoringVector.borda(m))
+    levels = egalitarian_levels(election, spec)
+    return egalitarian_feasibility_ip(election, spec, levels[len(levels) // 2])
+
+
+# Bland's rule fixes the pivot path, so these counts change only when the
+# path does; a faster tableau must leave every one of them as it is.
+PINNED = [
+    # rule, domain, m, n, k, seed: root pivots, root integral, branch nodes, objective
+    ("cc", "sp", 6, 10, 3, 17, 25, True, 0, "60"),
+    ("cc", "sp", 5, 9, 3, 5, 22, True, 0, "44"),
+    ("cc", "sc", 6, 9, 3, 27, 31, True, 0, "53"),
+    ("cc", "random", 7, 16, 2, 6, 89, False, 2, "95"),
+    ("cc", "random", 6, 12, 2, 13, 51, False, 2, "64"),
+    ("owa", "sp", 6, 10, 5, 11, 73, True, 0, "6433/60"),
+    ("owa", "sp", 5, 9, 3, 5, 46, True, 0, "413/6"),
+    ("owa", "random", 6, 8, 3, 9, 116, True, 0, "199/3"),
+    ("owa", "random", 5, 16, 2, 143, 79, False, 2, "169/2"),
+    ("pav", "ci", 5, 7, 4, 16, 25, True, 0, "125/12"),
+    ("pav", "ci", 6, 15, 3, 251, 55, True, 0, "58/3"),
+    ("pav", "random", 7, 16, 2, 101, 51, False, 2, "35/2"),
+    ("pav", "random", 7, 13, 2, 151, 42, False, 2, "11"),
+    ("egal", "sp", 5, 7, 4, 16, 22, True, 0, "0"),
+    ("egal", "sp", 4, 9, 1, 26, 4, False, 0, None),
+    ("egal", "ci", 5, 6, 2, 13, 13, True, 0, "0"),
+    ("egal", "random", 5, 14, 2, 3, 22, False, 4, "0"),
+    ("egal", "random", 5, 12, 2, 4, 18, False, 4, "0"),
+    ("young", "sc", 6, 10, 0, 17, 12, True, 0, "7"),
+    ("young", "sc", 4, 8, 0, 3, 14, False, 0, None),
+    ("young", "random", 6, 10, 0, 73, 16, False, 4, "4"),
+    ("young", "random", 6, 9, 0, 27, 9, True, 0, "6"),
+]
+
+
+@pytest.mark.parametrize(
+    "program, expected",
+    [(p[:6], p[6:]) for p in PINNED],
+    ids=["-".join(map(str, p[:6])) for p in PINNED],
+)
+def test_pivot_path_is_pinned(program, expected):
+    report = solve_ip(pinned_program(*program))
+    objective = report.final.objective
+    assert (
+        report.lp.pivots,
+        report.lp_integral,
+        report.branch_nodes,
+        None if objective is None else str(objective),
+    ) == expected

@@ -129,6 +129,8 @@ class TestConsecutiveOnes:
         assert is_strong_c1p(PAPER_MATRIX)
         perm = has_c1p(PAPER_MATRIX)
         assert perm == (0, 1, 2, 3, 4, 5)
+        gapped = BinaryMatrix(((0, 1, 1), (1, 0, 1)), ("r1", "r2"), ("c1", "c2", "c3"))
+        assert not is_strong_c1p(gapped)
 
     def test_three_cycle_segment_matrix_rejected(self):
         matrix = build_sp_matrix(profile_cycle3())
