@@ -219,8 +219,11 @@ def _cmd_gen(args) -> int:
         hidden = None
     text = model.serialize_profile(profile)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise CliError(f"cannot write {args.out}: {exc}") from exc
         summary = {
             "command": "gen",
             "kind": args.kind,
@@ -338,6 +341,8 @@ def _cmd_egal(args) -> int:
 
 def _cmd_matrix(args) -> int:
     started = time.perf_counter_ns()
+    if args.matrix_command == "tu" and args.budget < 0:
+        raise CliError(f"--budget must be non-negative, got {args.budget}")
     if args.matrix_command in ("sp", "sc"):
         text = _read_input(args.input)
         profile = model.parse_profile(text, format="ranked")

@@ -65,6 +65,8 @@ class WeakOrder:
         if not self.indifference_classes:
             raise ValueError("weak order needs at least one class")
         for cls in self.indifference_classes:
+            if not isinstance(cls, frozenset):
+                raise ValueError("indifference classes must be frozensets")
             if not cls:
                 raise ValueError("empty indifference class")
             if seen & cls:

@@ -7,6 +7,13 @@ without anti-cycling perturbations.  All arithmetic is exact, every returned
 solution is a vertex, and optimal solutions are re-verified against the
 original constraints before they are handed back.
 
+The tableau holds the bounds, one sparse row per constraint (basic column
+left out), the basis, each variable's status (basic, at lower, at upper),
+the basic values and the reduced costs; a nonbasic value is the bound its
+status names.  There is no column index: each iteration builds the entering
+column once, by scanning the rows, and the ratio test, the bound flip or the
+basis change all read that one list.
+
 ``solve_ip`` first solves the relaxation and reports whether that alone
 produced an integral vertex; only if it did not does depth-first
 branch-and-bound start, branching on the most fractional committee or
@@ -54,17 +61,19 @@ class SolveReport:
 
 
 class _Tableau:
-    """Mutable simplex state over structural + slack + artificial variables."""
+    """Mutable simplex state over structural + slack + artificial variables.
+
+    A nonbasic variable sits on the bound its ``stat`` names, so its value
+    is read from the bounds; only basic values are stored (``bval``).
+    """
 
     def __init__(self):
         self.lower: list = []
         self.upper: list = []
-        self.rows: list = []  # per row: {var index: coefficient}, basic excluded
+        self.rows: list = []  # per row: {var index: nonzero coefficient}, basic excluded
         self.basis: list = []
         self.stat: list = []
-        self.xval: list = []  # bound value for nonbasic variables
         self.bval: list = []  # per row: current value of its basic variable
-        self.col_rows: list = []  # var index -> set of candidate row indices
         self.d: list = []  # reduced costs
         self.pivots = 0
 
@@ -73,87 +82,72 @@ class _Tableau:
     def add_var(self, lower, upper) -> int:
         self.lower.append(lower)
         self.upper.append(upper)
-        self.col_rows.append(set())
         if lower is not None:
             self.stat.append(_AT_LOWER)
-            self.xval.append(lower)
         elif upper is not None:
             self.stat.append(_AT_UPPER)
-            self.xval.append(upper)
         else:
             raise NotImplementedError("free variables are not supported")
         return len(self.lower) - 1
 
-    def add_row(self, coeffs: dict, basic: int, value) -> int:
-        i = len(self.rows)
+    def add_row(self, coeffs: dict, basic: int, value) -> None:
         self.rows.append(coeffs)
-        for j in coeffs:
-            self.col_rows[j].add(i)
         self.basis.append(basic)
         self.stat[basic] = _BASIC
         self.bval.append(value)
-        return i
 
     # -- pivoting ----------------------------------------------------------
 
-    def _shift_nonbasic(self, q: int, delta) -> None:
-        if not delta:
-            return
-        for i in tuple(self.col_rows[q]):
-            coef = self.rows[i].get(q)
-            if coef is None:
-                self.col_rows[q].discard(i)
-                continue
-            self.bval[i] -= coef * delta
+    def nonbasic_value(self, j: int):
+        return self.upper[j] if self.stat[j] == _AT_UPPER else self.lower[j]
 
-    def change_basis(self, r: int, q: int, entering_value, delta, leave_to: int) -> None:
-        self._shift_nonbasic(q, delta)
+    def column(self, q: int) -> list:
+        """``(row, coefficient)`` for every row holding ``q``, by row."""
+        return [(i, row[q]) for i, row in enumerate(self.rows) if q in row]
+
+    def _shift(self, column: list, delta) -> None:
+        bval = self.bval
+        for i, coef in column:
+            bval[i] -= coef * delta
+
+    def change_basis(self, r: int, q: int, delta, leave_to: int, column: list) -> None:
+        """``q`` moves by ``delta`` and replaces the basic variable of row
+        ``r``, which leaves to ``leave_to``; ``column`` is ``column(q)``."""
+        entering_value = self.nonbasic_value(q) + delta
+        if delta:
+            self._shift(column, delta)
         p = self.basis[r]
-        self.xval[p] = self.lower[p] if leave_to == _AT_LOWER else self.upper[p]
         self.stat[p] = leave_to
         piv = self.rows[r].pop(q)
         new_row = {j: v / piv for j, v in self.rows[r].items()}
         new_row[p] = ONE / piv
         self.rows[r] = new_row
-        for j in new_row:
-            self.col_rows[j].add(r)
         self.basis[r] = q
         self.stat[q] = _BASIC
         self.bval[r] = entering_value
-        pending = self.col_rows[q]
-        self.col_rows[q] = set()
-        d = self.d
-        dq = d[q]
-        for i in sorted(pending):
+        for i, t in column:
             if i == r:
                 continue
-            t = self.rows[i].pop(q, None)
-            if not t:
-                continue
             row_i = self.rows[i]
+            del row_i[q]
             for j, v in new_row.items():
                 cur = row_i.get(j)
                 nv = (cur - t * v) if cur is not None else -t * v
                 if nv:
                     row_i[j] = nv
-                    self.col_rows[j].add(i)
                 elif cur is not None:
                     del row_i[j]
+        d = self.d
+        dq = d[q]
         if dq:
             for j, v in new_row.items():
                 d[j] -= dq * v
         d[q] = ZERO
         self.pivots += 1
 
-    def bound_flip(self, q: int, direction: int, span) -> None:
-        delta = span if direction > 0 else -span
-        self._shift_nonbasic(q, delta)
-        if direction > 0:
-            self.stat[q] = _AT_UPPER
-            self.xval[q] = self.upper[q]
-        else:
-            self.stat[q] = _AT_LOWER
-            self.xval[q] = self.lower[q]
+    def bound_flip(self, q: int, direction: int, span, column: list) -> None:
+        self._shift(column, span if direction > 0 else -span)
+        self.stat[q] = _AT_UPPER if direction > 0 else _AT_LOWER
         self.pivots += 1
 
     # -- the main loop -----------------------------------------------------
@@ -168,11 +162,6 @@ class _Tableau:
         for b in self.basis:
             d[b] = ZERO
         self.d = d
-
-    def value_of(self, j: int):
-        if self.stat[j] == _BASIC:
-            return self.bval[self.basis.index(j)]
-        return self.xval[j]
 
     def optimize(self, max_iter: int) -> str:
         nvars = len(self.lower)
@@ -196,14 +185,11 @@ class _Tableau:
             if enter < 0:
                 return "optimal"
             q = enter
+            column = self.column(q)
             best_t = None
             best_row = -1
             best_leave = _AT_LOWER
-            for i in tuple(self.col_rows[q]):
-                coef = self.rows[i].get(q)
-                if not coef:
-                    self.col_rows[q].discard(i)
-                    continue
+            for i, coef in column:
                 rate = -coef if direction > 0 else coef
                 b = self.basis[i]
                 if rate < 0:
@@ -229,19 +215,19 @@ class _Tableau:
             if best_t is None and span is None:
                 return "unbounded"
             if span is not None and (best_t is None or span <= best_t):
-                self.bound_flip(q, direction, span)
+                self.bound_flip(q, direction, span, column)
                 continue
             delta = best_t if direction > 0 else -best_t
-            self.change_basis(best_row, q, self.xval[q] + delta, delta, best_leave)
+            self.change_basis(best_row, q, delta, best_leave, column)
         raise RuntimeError("simplex iteration limit exceeded")  # pragma: no cover
 
 
-def _clamp(value, lower, upper):
-    if upper is not None and value > upper:
-        return upper
-    if lower is not None and value < lower:
-        return lower
-    return value
+def _holds(lhs, sense: str, rhs) -> bool:
+    if sense == "<=":
+        return lhs <= rhs
+    if sense == ">=":
+        return lhs >= rhs
+    return lhs == rhs
 
 
 def solve_lp(inst: IPInstance, bound_overrides=None) -> LPSolution:
@@ -273,12 +259,7 @@ def solve_lp(inst: IPInstance, bound_overrides=None) -> LPSolution:
                 coeffs[idx] = coeffs.get(idx, ZERO) + coef
         coeffs = {j: v for j, v in coeffs.items() if v}
         if not coeffs:
-            ok = (
-                (con.sense == "<=" and 0 <= con.rhs)
-                or (con.sense == ">=" and 0 >= con.rhs)
-                or (con.sense == "=" and con.rhs == 0)
-            )
-            if not ok:
+            if not _holds(ZERO, con.sense, con.rhs):
                 return LPSolution("infeasible", (), None, 0)
             continue
         kept.append((coeffs, con.sense, con.rhs))
@@ -296,7 +277,7 @@ def solve_lp(inst: IPInstance, bound_overrides=None) -> LPSolution:
     for i, (coeffs, sense, rhs) in enumerate(kept):
         value = rhs
         for j, coef in coeffs.items():
-            value -= coef * tab.xval[j]
+            value -= coef * tab.nonbasic_value(j)
         slack = slack_of_row[i]
         lo, up = tab.lower[slack], tab.upper[slack]
         if (lo is None or value >= lo) and (up is None or value <= up):
@@ -305,9 +286,8 @@ def solve_lp(inst: IPInstance, bound_overrides=None) -> LPSolution:
             # start the slack at its violated bound and cover the residual
             # with a basic artificial; the row is stored normalized so the
             # basic variable keeps an implicit +1 coefficient
-            rest = _clamp(value, lo, up)
+            rest = up if up is not None and value > up else lo
             tab.stat[slack] = _AT_LOWER if rest == lo else _AT_UPPER
-            tab.xval[slack] = rest
             art = tab.add_var(ZERO, None)
             artificials.append(art)
             if value - rest > 0:
@@ -329,27 +309,18 @@ def solve_lp(inst: IPInstance, bound_overrides=None) -> LPSolution:
         status = tab.optimize(max_iter)
         if status != "optimal":  # pragma: no cover - phase 1 is bounded
             raise AssertionError("phase 1 cannot be unbounded")
-        residue = ZERO
-        for a in artificials:
-            residue += tab.value_of(a)
+        # nonbasic artificials sit at their lower bound 0
+        art_set = set(artificials)
+        residue = sum((v for v, b in zip(tab.bval, tab.basis) if b in art_set), ZERO)
         if residue > 0:
             return LPSolution("infeasible", (), None, tab.pivots)
         for a in artificials:
-            tab.lower[a] = ZERO
             tab.upper[a] = ZERO
-            if tab.stat[a] != _BASIC:
-                tab.stat[a] = _AT_LOWER
-                tab.xval[a] = ZERO
-        art_set = set(artificials)
         for r in range(len(tab.rows)):
             if tab.basis[r] in art_set:
-                pivot_col = -1
-                for j in sorted(tab.rows[r]):
-                    if j not in art_set and tab.rows[r][j]:
-                        pivot_col = j
-                        break
+                pivot_col = min((j for j in tab.rows[r] if j not in art_set), default=-1)
                 if pivot_col >= 0:
-                    tab.change_basis(r, pivot_col, tab.xval[pivot_col], ZERO, _AT_LOWER)
+                    tab.change_basis(r, pivot_col, ZERO, _AT_LOWER, tab.column(pivot_col))
                 # else: redundant row; the artificial stays pinned at 0
 
     costs = costs_struct + [ZERO] * (len(tab.lower) - nstruct)
@@ -368,7 +339,7 @@ def solve_lp(inst: IPInstance, bound_overrides=None) -> LPSolution:
             values[b] = lo if value == lo else up if value == up else value
     for j in range(nstruct):
         if values[j] is None:
-            values[j] = tab.xval[j]
+            values[j] = tab.nonbasic_value(j)
     objective = ZERO
     for idx, coef in inst.objective:
         objective += coef * values[idx]
@@ -387,12 +358,7 @@ def _verify(inst, bounds, values, objective) -> None:
         lhs = ZERO
         for idx, coef in con.coeffs:
             lhs += coef * values[idx]
-        ok = (
-            (con.sense == "<=" and lhs <= con.rhs)
-            or (con.sense == ">=" and lhs >= con.rhs)
-            or (con.sense == "=" and lhs == con.rhs)
-        )
-        if not ok:
+        if not _holds(lhs, con.sense, con.rhs):
             raise AssertionError(f"constraint violation on {con.label}")
     recomputed = ZERO
     for idx, coef in inst.objective:

@@ -260,6 +260,14 @@ class TestGenCommand:
         assert len(report["hidden_structure"]) == 4
         assert out.exists()
 
+    def test_gen_into_missing_directory_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.prof"
+        argv = ["gen", "--kind", "sp", "--m", "3", "--n", "2", "--seed", "1", "--out", str(out)]
+        assert votelp.cli.main(argv) == 2
+        stdout, stderr = capsys.readouterr()
+        assert stdout == ""
+        assert stderr.startswith(f"error: cannot write {out}: ")
+
     def test_gen_pipe_into_recognize(self, tmp_path):
         out = tmp_path / "sc.prof"
         run_json("gen", "--kind", "sc", "--m", "4", "--n", "6", "--seed", "2", "--out", str(out))
@@ -310,6 +318,20 @@ class TestMatrixCommands:
         proc = run_cli("matrix", command, "--input", str(path), expect=2)
         assert proc.stdout == ""
         assert "negative matrix size: 0 rows, -3 columns" in proc.stderr
+
+    def test_negative_budget_rejected_before_reading(self, capsys):
+        argv = ["matrix", "tu", "--budget", "-1", "--input", "/nonexistent/m.mat"]
+        assert votelp.cli.main(argv) == 2
+        stdout, stderr = capsys.readouterr()
+        assert stdout == ""
+        assert stderr == "error: --budget must be non-negative, got -1\n"
+
+    def test_zero_budget_decides_only_empty_matrices(self, tmp_path):
+        for text, result in (("2 2\n1 0\n0 1\n", "budget_exceeded"), ("0 3\n", "tu")):
+            path = tmp_path / "m.mat"
+            path.write_text(text)
+            report = run_json("matrix", "tu", "--budget", "0", "--input", str(path))
+            assert report["result"] == result
 
     def test_c1p_rejects_signed(self, tmp_path):
         path = tmp_path / "signed.mat"

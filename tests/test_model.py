@@ -161,6 +161,13 @@ class TestDerivedQuantities:
         with pytest.raises(ValueError, match="^ballot 2 approves"):
             ApprovalProfile(("a", "b"), (frozenset("a"),) * 2 + (frozenset("z"), frozenset("y")))
 
+    def test_classes_must_be_frozensets(self):
+        with pytest.raises(ValueError, match="frozensets"):
+            WeakOrder(({"a"}, {"b"}))
+        with pytest.raises(ValueError, match="frozensets"):
+            WeakOrder((frozenset("a"), ("b",)))
+        assert WeakOrder.from_classes(({"a"}, {"b"})) == WeakOrder.linear("ab")
+
     def test_majority_margin_examples(self):
         assert majority_margin(profile_e1(), "b", "a") == 1
         assert majority_margin(profile_e3(), "c", "a") == 1

@@ -333,7 +333,6 @@ class TestSolveIP:
                 branched += 1
         assert branched >= 2
 
-
     def test_branch_and_bound_against_integer_enumeration(self, monkeypatch):
         """Small bounded programs over integral deletion variables (so no
         cardinality row) against enumeration of every integer point.  The
@@ -371,12 +370,13 @@ class TestSolveIP:
                 constraints.append(Constraint(coeffs, sense, rat(rng.randint(-3, 6)), f"c{i}"))
             inst = lp(variables, rng.choice(("max", "min")), objective, constraints)
             report = solve_ip(inst)
-            best = None
-            for point in itertools.product(*(range(up + 1) for up in uppers)):
-                if all(holds(con, point) for con in constraints):
-                    value = sum((c * point[j] for j, c in objective), ZERO)
-                    if best is None or (value > best if inst.objective_sense == "max" else value < best):
-                        best = value
+            feasible = [
+                sum((c * point[j] for j, c in objective), ZERO)
+                for point in itertools.product(*(range(up + 1) for up in uppers))
+                if all(holds(con, point) for con in constraints)
+            ]
+            pick = max if inst.objective_sense == "max" else min
+            best = pick(feasible) if feasible else None
             if best is None:
                 assert report.final.status == "infeasible"
             else:
@@ -386,6 +386,7 @@ class TestSolveIP:
             no_incumbent += report.lp.status == "optimal" and report.final.status == "infeasible"
         assert "infeasible" in node_statuses
         assert deeper and no_incumbent
+
 
 def pinned_program(rule, domain, m, n, k, seed):
     """A seeded program.  pav, and egal on ``ci``, read approval ballots (on
