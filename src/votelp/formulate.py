@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .model import ApprovalProfile, Profile, majority_margin
+from .structure import BinaryMatrix, SignedMatrix
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -488,8 +489,6 @@ def relax_point_integrality(inst: IPInstance) -> IPInstance:
 
 def constraint_matrix(inst: IPInstance):
     """Full signed constraint matrix (rows = constraints, all variables)."""
-    from .structure import SignedMatrix
-
     entries = []
     for con in inst.constraints:
         row = [0] * inst.num_vars
@@ -510,8 +509,6 @@ def committee_submatrix(inst: IPInstance, include_cardinality: bool = False):
     (the cardinality row excluded by default).  This strips the point-variable
     unit columns, which is the reduction that preserves total unimodularity
     in both directions."""
-    from .structure import BinaryMatrix
-
     cols = inst.variables_by_role(COMMITTEE) or inst.variables_by_role(DELETION)
     entries = []
     labels = []

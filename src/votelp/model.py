@@ -184,6 +184,9 @@ class ApprovalProfile:
         alt_set = frozenset(self.alternatives)
         if len(alt_set) != len(self.alternatives):
             raise ValueError("duplicate alternative names")
+        for i, ballot in enumerate(self.ballots):
+            if not isinstance(ballot, frozenset):
+                raise ValueError(f"ballot {i} is not a frozenset")
         object.__setattr__(self, "groups", _groups(self.ballots))
         for ballot, members in self.groups:
             if not ballot <= alt_set:

@@ -3,13 +3,15 @@
 Builds the top-initial-segment incidence matrix (one row per voter/rank
 pair), the ballot matrix and the pairwise-comparison matrix (one column per
 voter), recognizes the consecutive-ones property by an iterative
-backtracking column placement, and tests total unimodularity with the
-Ghouila-Houri row-signing criterion at desk scale.  Single-peaked and
-candidate-interval recognition are one interval-axis check: the
-consecutive-ones test on the top segments of the distinct orders, or on the
-distinct ballots, as the model derives them.  Single-crossing recognition
-sorts the distinct orders by their disagreement with an end of the chain.
-Every recognizer re-checks its certificate before returning it.
+backtracking column placement over sets of column indices, and tests total
+unimodularity with the Ghouila-Houri row-signing criterion at desk scale.
+Single-peaked and candidate-interval recognition are one interval-axis
+check: the same search on the top segments of the distinct orders, or on
+the distinct ballots, as the model derives them, mapped to index sets
+without building a matrix.  Each search ends in one contiguity check of its
+certificate.  Single-crossing recognition sorts the distinct orders by their
+disagreement with an end of the chain and checks contiguity over that chain
+of distinct orders, not over the voters.
 """
 
 from __future__ import annotations
@@ -20,41 +22,6 @@ from dataclasses import dataclass
 from .model import ApprovalProfile, Axis, Profile
 
 
-def _validate_grid(entries, allowed, row_labels, col_labels):
-    if len(entries) != len(row_labels):
-        raise ValueError("row label count does not match matrix")
-    ncols = len(col_labels)
-    for row in entries:
-        if len(row) != ncols:
-            raise ValueError("ragged matrix row")
-        for v in row:
-            if v not in allowed:
-                raise ValueError(f"entry {v!r} outside {sorted(allowed)}")
-
-
-@dataclass(frozen=True)
-class BinaryMatrix:
-    """0/1 matrix with row and column labels."""
-
-    entries: tuple[tuple[int, ...], ...]
-    row_labels: tuple[str, ...]
-    col_labels: tuple[str, ...]
-
-    def __post_init__(self):
-        _validate_grid(self.entries, {0, 1}, self.row_labels, self.col_labels)
-
-    @property
-    def num_rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def num_cols(self) -> int:
-        return len(self.col_labels)
-
-    def to_signed(self) -> "SignedMatrix":
-        return SignedMatrix(self.entries, self.row_labels, self.col_labels)
-
-
 @dataclass(frozen=True)
 class SignedMatrix:
     """Matrix over {-1, 0, +1} (the precondition of the TU definition)."""
@@ -63,8 +30,18 @@ class SignedMatrix:
     row_labels: tuple[str, ...]
     col_labels: tuple[str, ...]
 
+    # the entries __post_init__ accepts; BinaryMatrix narrows them to 0/1
+    _allowed = frozenset({-1, 0, 1})
+
     def __post_init__(self):
-        _validate_grid(self.entries, {-1, 0, 1}, self.row_labels, self.col_labels)
+        if len(self.entries) != len(self.row_labels):
+            raise ValueError("row label count does not match matrix")
+        for row in self.entries:
+            if len(row) != self.num_cols:
+                raise ValueError("ragged matrix row")
+            for v in row:
+                if v not in self._allowed:
+                    raise ValueError(f"entry {v!r} outside {sorted(self._allowed)}")
 
     @property
     def num_rows(self) -> int:
@@ -74,11 +51,12 @@ class SignedMatrix:
     def num_cols(self) -> int:
         return len(self.col_labels)
 
-    def transpose(self) -> "SignedMatrix":
-        cols = tuple(zip(*self.entries)) if self.entries else ()
-        if not self.entries:
-            cols = tuple(() for _ in self.col_labels)
-        return SignedMatrix(cols, self.col_labels, self.row_labels)
+
+@dataclass(frozen=True)
+class BinaryMatrix(SignedMatrix):
+    """0/1 matrix with row and column labels: a ``SignedMatrix`` without -1."""
+
+    _allowed = frozenset({0, 1})
 
 
 # ---------------------------------------------------------------------------
@@ -150,46 +128,37 @@ def apply_column_permutation(matrix: BinaryMatrix, perm) -> BinaryMatrix:
     return BinaryMatrix(entries, matrix.row_labels, cols)
 
 
-def has_c1p(matrix: BinaryMatrix):
-    """Search for a column permutation making every row's 1s contiguous.
+def _consecutive_order(sets, ncols):
+    """The lexicographically smallest order of ``range(ncols)`` in which every
+    set of column indices is contiguous, or None.
 
-    Columns are placed left to right by depth-first search.  Once a row is
-    split by the current prefix (some 1s placed, some not), its placed part
-    must sit flush against the prefix end, so the next column is forced to
-    lie in every split row; that intersection is exactly the candidate set,
-    which makes the search complete.  Candidates are tried in ascending
-    order, so the result is the lexicographically smallest valid
-    permutation.  The search keeps its own stack of candidate iterators (one
-    per placed column), so its depth is not bounded by the interpreter's
-    recursion limit.  Worst case is exponential, which is fine at desk
-    scale; the returned permutation is re-verified before it is handed out.
-    Returns the permutation (new position -> old column index) or None.
+    Columns are placed left to right by depth-first search.  Once a set is
+    split by the current prefix (some members placed, some not), its placed
+    part must sit flush against the prefix end, so the next column is forced
+    to lie in every split set; that intersection is exactly the candidate
+    set, which makes the search complete.  Candidates are tried in ascending
+    order, so the first order found is the lexicographically smallest.  The
+    search keeps its own stack of candidate iterators (one per placed
+    column), so its depth is not bounded by the interpreter's recursion
+    limit.  Worst case is exponential, which is fine at desk scale; the
+    order is checked against every set before it is returned.
     """
-    m = matrix.num_cols
-    row_sets = {
-        frozenset(j for j, v in enumerate(row) if v) for row in matrix.entries
-    }
-    # rows with <2 ones never constrain contiguity; full rows are always fine
-    rows = sorted(
-        (r for r in row_sets if 1 < len(r) < m), key=lambda r: (len(r), sorted(r))
-    )
-
+    sets = set(sets)
+    # sets with <2 members never constrain contiguity; full sets are always fine
+    rows = [r for r in sets if 1 < len(r) < ncols]
     order: list[int] = []
     placed: set[int] = set()
 
     def candidates():
-        open_parts = [r - placed for r in rows if placed & r and not r <= placed]
-        if open_parts:
-            cands = set(open_parts[0])
-            for part in open_parts[1:]:
-                cands &= part
-        else:
-            cands = set(range(m)) - placed
+        cands = set(range(ncols)) - placed
+        for r in rows:
+            if placed & r and not r <= placed:
+                cands &= r
         return iter(sorted(cands))
 
     # stack[d] yields the untried candidates for position d
     stack = []
-    while len(order) < m:
+    while len(order) < ncols:
         if len(stack) == len(order):
             stack.append(candidates())
         col = next(stack[-1], None)
@@ -201,25 +170,32 @@ def has_c1p(matrix: BinaryMatrix):
             continue
         order.append(col)
         placed.add(col)
-    perm = tuple(order)
-    if not is_strong_c1p(apply_column_permutation(matrix, perm)):  # pragma: no cover
-        raise AssertionError("contiguity search produced an invalid permutation")
-    return perm
+    position = {col: pos for pos, col in enumerate(order)}
+    for r in sets:
+        spots = [position[j] for j in r]
+        if spots and max(spots) - min(spots) + 1 != len(spots):  # pragma: no cover
+            raise AssertionError("contiguity search produced an invalid order")
+    return tuple(order)
+
+
+def has_c1p(matrix: BinaryMatrix):
+    """Search for a column permutation making every row's 1s contiguous:
+    the lexicographically smallest one (new position -> old column index),
+    or None."""
+    sets = (frozenset(j for j, v in enumerate(row) if v) for row in matrix.entries)
+    return _consecutive_order(sets, matrix.num_cols)
 
 
 def _interval_axis(alternatives, sets):
-    """The canonical axis on which every set is an interval, or None; every
-    set is re-checked against the axis before it is returned."""
-    entries = tuple(tuple(1 if c in s else 0 for c in alternatives) for s in sets)
-    labels = tuple(f"r{i + 1}" for i in range(len(sets)))
-    perm = has_c1p(BinaryMatrix(entries, labels, alternatives))
-    if perm is None:
+    """The canonical axis on which every set is an interval, or None.
+    ``canonical`` only reverses the order, so every set stays an interval."""
+    index = {c: j for j, c in enumerate(alternatives)}
+    order = _consecutive_order(
+        (frozenset(index[c] for c in s) for s in sets), len(alternatives)
+    )
+    if order is None:
         return None
-    axis = Axis(tuple(alternatives[j] for j in perm)).canonical()
-    for s in sets:
-        if not axis.is_interval(s):  # pragma: no cover
-            raise AssertionError("reported axis fails the interval check")
-    return axis
+    return Axis(tuple(alternatives[j] for j in order)).canonical()
 
 
 def is_single_peaked(profile: Profile):
@@ -247,10 +223,11 @@ def is_single_crossing(profile: Profile):
     ends, and sorting by disagreement with that end recovers it.  Identical
     voters must sit together, so each group is expanded with ascending
     indices and the smaller of the two directions is returned: the
-    lexicographically smallest certifying ordering.  The final check that
-    every pair's supporters are contiguous, which decides the answer, is
-    linear in the number of voters; the rest grows with the number of
-    distinct orders.  Raises ValueError on weak orders.
+    lexicographically smallest certifying ordering.  Every group is one
+    block of that ordering, so the final check that every pair's supporters
+    are contiguous, which decides the answer, runs over the chain of
+    distinct orders; only the expansion touches every voter.  Raises
+    ValueError on weak orders.
     """
     if not profile.is_linear():
         raise ValueError("single-crossing recognition requires linear orders")
@@ -263,18 +240,13 @@ def is_single_crossing(profile: Profile):
     # max and sorted keep the first of equal keys: ties go to the first voter
     end, _ = max(groups, key=lambda g: disagreements(groups[0][0], g[0]))
     chain = sorted(groups, key=lambda g: disagreements(end, g[0]))
+    for a, b in itertools.permutations(profile.alternatives, 2):
+        positions = [pos for pos, (order, _) in enumerate(chain) if order.prefers(a, b)]
+        if positions and positions[-1] - positions[0] + 1 != len(positions):
+            return None
     forward = tuple(i for _, members in chain for i in members)
     backward = tuple(i for _, members in reversed(chain) for i in members)
-    ordering = min(forward, backward)
-    voters = [profile.voters[i] for i in ordering]
-    for a in profile.alternatives:
-        for b in profile.alternatives:
-            if a == b:
-                continue
-            positions = [pos for pos, v in enumerate(voters) if v.prefers(a, b)]
-            if positions and positions[-1] - positions[0] + 1 != len(positions):
-                return None
-    return ordering
+    return min(forward, backward)
 
 
 # ---------------------------------------------------------------------------
@@ -379,14 +351,13 @@ def is_totally_unimodular(matrix, row_budget: int = 16) -> TUResult:
     TU is transpose-invariant), enumerating subsets by increasing size.  If
     that dimension exceeds ``row_budget`` the verdict is ``budget_exceeded``.
     """
-    if isinstance(matrix, BinaryMatrix):
-        matrix = matrix.to_signed()
-    transposed = matrix.num_rows > matrix.num_cols
-    work = matrix.transpose() if transposed else matrix
-    nrows, ncols = work.num_rows, work.num_cols
+    nrows, ncols = matrix.num_rows, matrix.num_cols
+    transposed = nrows > ncols
+    if transposed:
+        nrows, ncols = ncols, nrows
     if nrows > row_budget:
         return TUResult("budget_exceeded")
-    rows = [list(r) for r in work.entries]
+    rows = [list(r) for r in (zip(*matrix.entries) if transposed else matrix.entries)]
     for size in range(1, nrows + 1):
         for subset in itertools.combinations(range(nrows), size):
             if not _has_gh_signing(rows, subset, ncols):

@@ -168,6 +168,12 @@ class TestDerivedQuantities:
             WeakOrder((frozenset("a"), ("b",)))
         assert WeakOrder.from_classes(({"a"}, {"b"})) == WeakOrder.linear("ab")
 
+    def test_ballots_must_be_frozensets(self):
+        with pytest.raises(ValueError, match="^ballot 0 is not a frozenset"):
+            ApprovalProfile(("a", "b"), ({"a"},))
+        with pytest.raises(ValueError, match="^ballot 1 is not a frozenset"):
+            ApprovalProfile(("a", "b"), (frozenset("a"), ["b"], {"a"}))
+
     def test_majority_margin_examples(self):
         assert majority_margin(profile_e1(), "b", "a") == 1
         assert majority_margin(profile_e3(), "c", "a") == 1

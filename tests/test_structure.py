@@ -156,7 +156,7 @@ class TestConsecutiveOnes:
         rng = random.Random(20240831)
         for _ in range(200):
             matrix = random_binary_matrix(rng, 7, 6)
-            assert (has_c1p(matrix) is not None) == c1p_by_permutation_search(matrix)
+            assert has_c1p(matrix) == first_c1p_permutation(matrix)
 
     def test_long_path_needs_no_recursion(self):
         # one placement per column: deeper than the interpreter's recursion limit
@@ -192,6 +192,20 @@ class TestRecognizers:
         profile, ordering = generate_single_crossing(4, 1500, 8)
         assert ordering == tuple(range(1500))
         assert is_single_crossing(profile) == ordering
+        # the same voters shuffled, so identical voters are no longer adjacent
+        perm = list(range(1500))
+        random.Random(1500).shuffle(perm)
+        shuffled = Profile(profile.alternatives, tuple(profile.voters[j] for j in perm))
+        found = is_single_crossing(shuffled)
+        assert is_strong_c1p(apply_column_permutation(build_sc_matrix(shuffled), found))
+        # each group of identical voters in chain order, its indices ascending,
+        # read in the direction that starts with the lower index
+        chain_pos = {}
+        for j, order in enumerate(profile.voters):
+            chain_pos.setdefault(order, j)
+        forward = sorted(range(1500), key=lambda i: (chain_pos[shuffled.voters[i]], i))
+        backward = sorted(range(1500), key=lambda i: (-chain_pos[shuffled.voters[i]], i))
+        assert found == min(tuple(forward), tuple(backward))
 
     def test_many_single_peaked_voters_not_single_crossing(self):
         profile, _ = generate_single_peaked(6, 150, 3)
