@@ -57,7 +57,6 @@ from .formulate import (
     ScoringVector,
     Variable,
     cc_ip,
-    committee_assignment,
     committee_submatrix,
     constraint_matrix,
     egalitarian_feasibility_ip,
@@ -67,7 +66,6 @@ from .formulate import (
     marginal_weights,
     owa_ip,
     pav_ip,
-    relax_point_integrality,
     serialize_ip,
     young_ip,
 )

@@ -204,19 +204,25 @@ def _finish(report: dict, started_ns: int, args, audit: dict | None, warning: st
 # subcommands
 
 
+_GENERATORS = {  # --kind -> seeded generator of (profile, hidden structure)
+    "sp": model.generate_single_peaked,
+    "sc": model.generate_single_crossing,
+    "ci": model.generate_candidate_interval,
+    "random": lambda m, n, seed: (model.generate_random_linear(m, n, seed), None),
+}
+
+
+def _generate(kind: str, m: int, n: int, seed: int):
+    """The profile of a ``--kind`` and its hidden axis or crossing order as a
+    list (None for random)."""
+    profile, hidden = _GENERATORS[kind](m, n, seed)
+    if isinstance(hidden, model.Axis):
+        hidden = hidden.ordering
+    return profile, None if hidden is None else list(hidden)
+
+
 def _cmd_gen(args) -> int:
-    if args.kind == "sp":
-        profile, certificate = model.generate_single_peaked(args.m, args.n, args.seed)
-        hidden = list(certificate.ordering)
-    elif args.kind == "sc":
-        profile, ordering = model.generate_single_crossing(args.m, args.n, args.seed)
-        hidden = list(ordering)
-    elif args.kind == "ci":
-        profile, certificate = model.generate_candidate_interval(args.m, args.n, args.seed)
-        hidden = list(certificate.ordering)
-    else:
-        profile = model.generate_random_linear(args.m, args.n, args.seed)
-        hidden = None
+    profile, hidden = _generate(args.kind, args.m, args.n, args.seed)
     text = model.serialize_profile(profile)
     if args.out:
         try:
@@ -395,17 +401,8 @@ _BENCH_RULES = {
 
 
 def _bench_trial(kind: str, rule_name: str, m: int, n: int, k: int, seed: int):
-    if kind == "sp":
-        election, _ = model.generate_single_peaked(m, n, seed)
-    elif kind == "ci":
-        election, _ = model.generate_candidate_interval(m, n, seed)
-    elif kind == "sc":
-        election, _ = model.generate_single_crossing(m, n, seed)
-    else:
-        if rule_name == "pav":
-            election, _ = model.generate_candidate_interval(m, n, seed)
-        else:
-            election = model.generate_random_linear(m, n, seed)
+    # pav trials read interval ballots whatever the kind
+    election, _ = _generate("ci" if rule_name == "pav" else kind, m, n, seed)
     if rule_name == "young":
         return solve_ip(young_ip(election, election.alternatives[seed % m]))
     rule_kind, _, owa = rule_name.partition("-")

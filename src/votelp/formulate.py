@@ -34,25 +34,30 @@ DELETION = "deletion"
 CARDINALITY_LABEL = "cardinality"
 
 
-def _check_non_increasing(entries, what: str):
-    for a, b in zip(entries, entries[1:]):
-        if a < b:
-            raise ValueError(f"{what} must be non-increasing")
-    if entries and entries[-1] < 0:
-        raise ValueError(f"{what} must be non-negative")
-
-
 @dataclass(frozen=True)
-class ScoringVector:
-    """Non-increasing, non-negative positional scores indexed by rank."""
+class _Weights:
+    """Non-empty, non-increasing, non-negative rationals; ``_what`` names the
+    vector in error messages."""
 
     entries: tuple
+    _what = "vector"
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(Fraction(v) for v in self.entries))
         if not self.entries:
-            raise ValueError("scoring vector must be non-empty")
-        _check_non_increasing(self.entries, "scoring vector")
+            raise ValueError(f"{self._what} must be non-empty")
+        for a, b in zip(self.entries, self.entries[1:]):
+            if a < b:
+                raise ValueError(f"{self._what} must be non-increasing")
+        if self.entries[-1] < 0:
+            raise ValueError(f"{self._what} must be non-negative")
+
+
+@dataclass(frozen=True)
+class ScoringVector(_Weights):
+    """Non-increasing, non-negative positional scores indexed by rank."""
+
+    _what = "scoring vector"
 
     @staticmethod
     def borda(m: int) -> "ScoringVector":
@@ -69,16 +74,10 @@ class ScoringVector:
 
 
 @dataclass(frozen=True)
-class OwaVector:
+class OwaVector(_Weights):
     """Non-increasing, non-negative ordered-weighted-average weights."""
 
-    entries: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(Fraction(v) for v in self.entries))
-        if not self.entries:
-            raise ValueError("OWA vector must be non-empty")
-        _check_non_increasing(self.entries, "OWA vector")
+    _what = "OWA vector"
 
     @staticmethod
     def harmonic(k: int) -> "OwaVector":
@@ -200,9 +199,6 @@ def marginal_weights(w: ScoringVector, m: int) -> tuple:
     padded = w.padded(m)
     out = [padded[r] - padded[r + 1] for r in range(m - 1)]
     out.append(padded[m - 1])
-    for v in out:
-        if v < 0:
-            raise ValueError("scoring vector must be non-increasing")
     return tuple(out)
 
 
@@ -399,7 +395,7 @@ def egalitarian_solve(election, rule: RuleSpec) -> EgalitarianResult:
 
 
 # ---------------------------------------------------------------------------
-# assignments and extraction
+# extraction
 
 
 def extract_solution(inst: IPInstance, values) -> ExtractedSolution:
@@ -437,50 +433,6 @@ def extract_solution(inst: IPInstance, values) -> ExtractedSolution:
             i for i, idx in enumerate(deletion_vars) if values[idx] == 1
         )
     return ExtractedSolution(committee, deleted, objective)
-
-
-def committee_assignment(inst: IPInstance, committee) -> tuple:
-    """The canonical maximal assignment encoding a given committee: committee
-    variables set from the committee, every point variable filled greedily to
-    the slack its row allows.  Used to audit that instance objectives agree
-    with rule semantics on arbitrary committees, not only optima."""
-    committee = frozenset(committee)
-    if not inst.variables_by_role(COMMITTEE):
-        raise ValueError("instance has no committee variables")
-    values = [ZERO] * inst.num_vars
-    for idx in inst.variables_by_role(COMMITTEE):
-        name = inst.variables[idx].name[len("y_") :]
-        values[idx] = ONE if name in committee else ZERO
-    k = inst.committee_size()
-    if sum(1 for idx in inst.variables_by_role(COMMITTEE) if values[idx] == ONE) != k:
-        raise ValueError("committee does not match the cardinality constraint")
-    roles = [v.role for v in inst.variables]
-    for con in inst.constraints:
-        if con.label == CARDINALITY_LABEL or con.sense != "<=":
-            continue
-        slack = con.rhs
-        point_vars = []
-        for idx, coef in con.coeffs:
-            if roles[idx] == POINT:
-                point_vars.append(idx)
-            else:
-                slack -= coef * values[idx]
-        budget = int(slack) if slack >= 0 else 0
-        for idx in point_vars:
-            if budget <= 0:
-                break
-            values[idx] = ONE
-            budget -= 1
-    return tuple(values)
-
-
-def relax_point_integrality(inst: IPInstance) -> IPInstance:
-    """Copy of the instance with integrality dropped on point variables."""
-    variables = tuple(
-        Variable(v.name, v.role, v.lower, v.upper, False) if v.role == POINT else v
-        for v in inst.variables
-    )
-    return IPInstance(variables, inst.objective_sense, inst.objective, inst.constraints)
 
 
 # ---------------------------------------------------------------------------

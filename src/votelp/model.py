@@ -16,8 +16,9 @@ Line 1 is the number of alternatives, line 2 their names, and every further
 line is ``<count>: <order>`` where the order is a ``>``-separated list of
 groups; a group is a bare name or ``{n1,n2,...}``.  Approval format uses the
 same header and one brace group per line: ``<count>: {n1,...}``.
-Counts are expanded into repeated voters; top segments and groups of
-identical voters are derived once, here, for every other module to read.
+Counts are expanded into repeated voters (a count too large to expand is a
+format error on its line); top segments and groups of identical voters are
+derived once, here, for every other module to read.
 """
 
 from __future__ import annotations
@@ -123,6 +124,21 @@ class WeakOrder:
         return tuple(next(iter(c)) for c in self.indifference_classes)
 
 
+def _alternative_set(alternatives, items, what: str) -> frozenset:
+    """A profile's checked alternative set: at least one alternative and one
+    ``what`` (voter or ballot) in ``items``, legal names, no duplicates."""
+    if not alternatives:
+        raise ValueError("profile needs at least one alternative")
+    if not items:
+        raise ValueError(f"profile needs at least one {what}")
+    for name in alternatives:
+        _check_name(name)
+    alt_set = frozenset(alternatives)
+    if len(alt_set) != len(alternatives):
+        raise ValueError("duplicate alternative names")
+    return alt_set
+
+
 def _groups(items) -> tuple:
     """Each distinct item with the indices where it occurs, by first occurrence."""
     groups: dict = {}
@@ -140,15 +156,7 @@ class Profile:
     voters: tuple[WeakOrder, ...]
 
     def __post_init__(self):
-        if not self.alternatives:
-            raise ValueError("profile needs at least one alternative")
-        if not self.voters:
-            raise ValueError("profile needs at least one voter")
-        for name in self.alternatives:
-            _check_name(name)
-        alt_set = frozenset(self.alternatives)
-        if len(alt_set) != len(self.alternatives):
-            raise ValueError("duplicate alternative names")
+        alt_set = _alternative_set(self.alternatives, self.voters, "voter")
         object.__setattr__(self, "groups", _groups(self.voters))
         for order, members in self.groups:
             if order.alternatives() != alt_set:
@@ -175,15 +183,7 @@ class ApprovalProfile:
     ballots: tuple[frozenset[str], ...]
 
     def __post_init__(self):
-        if not self.alternatives:
-            raise ValueError("profile needs at least one alternative")
-        if not self.ballots:
-            raise ValueError("profile needs at least one ballot")
-        for name in self.alternatives:
-            _check_name(name)
-        alt_set = frozenset(self.alternatives)
-        if len(alt_set) != len(self.alternatives):
-            raise ValueError("duplicate alternative names")
+        alt_set = _alternative_set(self.alternatives, self.ballots, "ballot")
         for i, ballot in enumerate(self.ballots):
             if not isinstance(ballot, frozenset):
                 raise ValueError(f"ballot {i} is not a frozenset")
@@ -302,10 +302,15 @@ def parse_profile(text: str, format: str = "ranked"):
             raise ProfileFormatError("multiplicity must be at least 1", lineno)
         if format == "approval":
             ballot = _parse_group(order_part.strip(), alt_set, lineno, allow_empty=True)
-            ballots.extend([frozenset(ballot)] * count)
+            items, item = ballots, frozenset(ballot)
         else:
-            order = _parse_order(order_part, alt_set, lineno)
-            voters.extend([order] * count)
+            items, item = voters, _parse_order(order_part, alt_set, lineno)
+        try:
+            items.extend([item] * count)
+        except (MemoryError, OverflowError):
+            raise ProfileFormatError(
+                f"multiplicity {count} is too large to expand", lineno
+            ) from None
     if format == "approval":
         return ApprovalProfile(names, tuple(ballots))
     return Profile(names, tuple(voters))
@@ -393,6 +398,14 @@ def default_alternative_names(m: int) -> tuple[str, ...]:
     return tuple(f"c{i + 1}" for i in range(m))
 
 
+def _seeded(m: int, n: int, seed: int):
+    """Every generator's start: the sizes checked, the seeded random stream
+    and the default names."""
+    if m < 1 or n < 1:
+        raise ValueError("need m >= 1 and n >= 1")
+    return random.Random(seed), default_alternative_names(m)
+
+
 def generate_single_peaked(m: int, n: int, seed: int) -> tuple[Profile, Axis]:
     """Random profile of linear orders single-peaked on a hidden random axis.
 
@@ -401,10 +414,7 @@ def generate_single_peaked(m: int, n: int, seed: int) -> tuple[Profile, Axis]:
     remaining rank, which samples uniformly from the 2^(m-1) orders
     single-peaked on that axis.
     """
-    if m < 1 or n < 1:
-        raise ValueError("need m >= 1 and n >= 1")
-    rng = random.Random(seed)
-    names = default_alternative_names(m)
+    rng, names = _seeded(m, n, seed)
     axis_order = list(names)
     rng.shuffle(axis_order)
     voters = []
@@ -431,10 +441,7 @@ def generate_single_crossing(m: int, n: int, seed: int) -> tuple[Profile, tuple[
     samples n chain positions with replacement and emits them sorted.  The
     returned tuple is the certifying voter ordering (the identity).
     """
-    if m < 1 or n < 1:
-        raise ValueError("need m >= 1 and n >= 1")
-    rng = random.Random(seed)
-    names = default_alternative_names(m)
+    rng, names = _seeded(m, n, seed)
     current = list(names)
     rng.shuffle(current)
     chain = [WeakOrder.linear(current)]
@@ -456,10 +463,7 @@ def generate_single_crossing(m: int, n: int, seed: int) -> tuple[Profile, tuple[
 
 def generate_candidate_interval(m: int, n: int, seed: int) -> tuple[ApprovalProfile, Axis]:
     """Random approval profile whose ballots are intervals of a hidden axis."""
-    if m < 1 or n < 1:
-        raise ValueError("need m >= 1 and n >= 1")
-    rng = random.Random(seed)
-    names = default_alternative_names(m)
+    rng, names = _seeded(m, n, seed)
     axis_order = list(names)
     rng.shuffle(axis_order)
     intervals = [(lo, hi) for lo in range(m) for hi in range(lo, m)]
@@ -472,10 +476,7 @@ def generate_candidate_interval(m: int, n: int, seed: int) -> tuple[ApprovalProf
 
 def generate_random_linear(m: int, n: int, seed: int) -> Profile:
     """Unstructured profile of uniformly random linear orders."""
-    if m < 1 or n < 1:
-        raise ValueError("need m >= 1 and n >= 1")
-    rng = random.Random(seed)
-    names = default_alternative_names(m)
+    rng, names = _seeded(m, n, seed)
     voters = []
     for _ in range(n):
         order = list(names)

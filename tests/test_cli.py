@@ -1,4 +1,5 @@
 import json
+import resource
 import subprocess
 import sys
 
@@ -11,7 +12,10 @@ from votelp import (
     OracleResult,
     OwaVector,
     ScoringVector,
+    generate_candidate_interval,
+    generate_random_linear,
     generate_single_crossing,
+    generate_single_peaked,
     serialize_profile,
 )
 
@@ -19,6 +23,25 @@ E1_TEXT = "3\na b c\n1: a > b > c\n1: b > a > c\n1: c > b > a\n"
 E3_TEXT = "3\na b c\n2: c > a > b\n1: b > a > c\n"
 CYCLE_TEXT = "3\na b c\n1: a > b > c\n1: b > c > a\n1: c > a > b\n"
 E2_TEXT = "4\na b c d\n1: {a,b}\n1: {b,c}\n1: {c,d}\n"
+
+
+# commands that parse a ranked profile, with the flags each needs
+PROFILE_COMMANDS = [
+    ("recognize",),
+    ("solve", "--rule", "cc", "--k", "1"),
+    ("egal", "--rule", "cc", "--k", "1"),
+    ("young", "--candidate", "a"),
+]
+
+
+def _limit_address_space():
+    """Cap the child's address space at 1.5 GiB, so an input that makes the
+    program allocate without bound fails fast instead of exhausting memory."""
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    limit = 3 << 29
+    if hard != resource.RLIM_INFINITY:
+        limit = min(limit, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
 
 
 def run_cli(*args, expect: int = 0):
@@ -244,7 +267,38 @@ class TestVectorFlags:
                 pass
 
 
+def _generated(kind, m, n, seed):
+    """The model generator behind ``gen --kind``: (profile, hidden structure)."""
+    if kind == "sp":
+        profile, axis = generate_single_peaked(m, n, seed)
+        return profile, list(axis.ordering)
+    if kind == "sc":
+        profile, ordering = generate_single_crossing(m, n, seed)
+        return profile, list(ordering)
+    if kind == "ci":
+        profile, axis = generate_candidate_interval(m, n, seed)
+        return profile, list(axis.ordering)
+    return generate_random_linear(m, n, seed), None
+
+
 class TestGenCommand:
+    @pytest.mark.parametrize("kind", ["sp", "sc", "ci", "random"])
+    def test_stdout_is_the_model_generator(self, kind, capsys):
+        argv = ["gen", "--kind", kind, "--m", "5", "--n", "7", "--seed", "4"]
+        assert votelp.cli.main(argv) == 0
+        profile, _ = _generated(kind, 5, 7, 4)
+        assert capsys.readouterr().out == serialize_profile(profile)
+
+    @pytest.mark.parametrize("kind", ["sp", "sc", "ci", "random"])
+    def test_out_summary_names_the_hidden_structure(self, kind, tmp_path, capsys):
+        out = tmp_path / f"{kind}.prof"
+        argv = ["gen", "--kind", kind, "--m", "4", "--n", "6", "--seed", "2", "--out", str(out)]
+        assert votelp.cli.main(argv) == 0
+        profile, hidden = _generated(kind, 4, 6, 2)
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["hidden_structure"] == hidden
+        assert out.read_text() == serialize_profile(profile)
+
     def test_deterministic_output(self):
         first = run_cli("gen", "--kind", "sp", "--m", "5", "--n", "6", "--seed", "3")
         second = run_cli("gen", "--kind", "sp", "--m", "5", "--n", "6", "--seed", "3")
@@ -344,6 +398,41 @@ class TestMatrixCommands:
 
 
 class TestBenchCommand:
+    # columns 1-7 (all but micros) of four seeded trials per kind; random
+    # draws its pav trial from interval ballots, so that row is integral
+    PINNED = {
+        "sp": [
+            "3,19,2,cc,true,11,0",
+            "4,4,3,owa-harmonic,true,32,0",
+            "8,15,3,owa-constant,true,96,0",
+            "7,13,2,cc,true,36,0",
+        ],
+        "sc": [
+            "3,19,2,young,true,20,0",
+            "4,4,3,young,true,4,0",
+            "8,15,3,young,true,0,0",
+            "7,13,2,young,true,0,0",
+        ],
+        "ci": [
+            "3,19,2,pav,true,15,0",
+            "4,4,3,pav,true,15,0",
+            "8,15,3,pav,true,45,0",
+            "7,13,2,pav,true,30,0",
+        ],
+        "random": [
+            "3,19,2,cc,true,14,0",
+            "4,4,3,pav,true,15,0",
+            "8,15,3,owa-harmonic,true,295,0",
+            "7,13,2,cc,false,66,2",
+        ],
+    }
+
+    @pytest.mark.parametrize("kind", sorted(PINNED))
+    def test_rows_are_pinned(self, kind, capsys):
+        assert votelp.cli.main(["bench", "--kind", kind, "--trials", "4", "--seed", "1"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.rsplit(",", 1)[0] for row in rows] == self.PINNED[kind]
+
     def test_sp_trials_all_integral(self):
         proc = run_cli("bench", "--kind", "sp", "--trials", "6", "--seed", "5")
         lines = proc.stdout.strip().splitlines()
@@ -421,6 +510,28 @@ class TestErrorPaths:
         path.write_text("3\na b c\n1: a > a > c\n")
         proc = run_cli("solve", "--rule", "cc", "--k", "1", "--input", str(path), expect=2)
         assert "line 3" in proc.stderr
+
+    @pytest.mark.parametrize("argv", PROFILE_COMMANDS)
+    def test_count_past_index_size_exit_2(self, argv, tmp_path, capsys):
+        path = tmp_path / "huge.prof"
+        path.write_text("2\na b\n100000000000000000000: a > b\n")
+        assert votelp.cli.main([*argv, "--input", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: line 3: ")
+
+    @pytest.mark.parametrize("argv", PROFILE_COMMANDS)
+    def test_count_past_memory_exit_2(self, argv, tmp_path):
+        path = tmp_path / "huge.prof"
+        path.write_text("2\na b\n10000000000000: a > b\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "votelp", *argv, "--input", str(path)],
+            capture_output=True,
+            text=True,
+            preexec_fn=_limit_address_space,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error: line 3: ")
 
     def test_missing_file_exit_2(self):
         run_cli("recognize", "--input", "/nonexistent/file.prof", expect=2)

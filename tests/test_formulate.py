@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction as rat
@@ -19,7 +20,6 @@ from votelp import (
     build_sc_matrix,
     build_sp_matrix,
     cc_ip,
-    committee_assignment,
     committee_submatrix,
     committee_value,
     constraint_matrix,
@@ -37,10 +37,10 @@ from votelp import (
     owa_ip,
     parse_profile,
     pav_ip,
-    relax_point_integrality,
     serialize_ip,
     serialize_profile,
     solve_ip,
+    solve_lp,
     young_ip,
 )
 from votelp.model import WeakOrder, default_alternative_names
@@ -290,20 +290,27 @@ class TestExtraction:
 
     def test_fractional_committee_rejected(self):
         inst = cc_ip(profile_e1(), BORDA3, 1)
-        values = list(committee_assignment(inst, {"b"}))
+        values = list(solve_ip(inst).final.values)
         values[0] = rat(1, 2)
         with pytest.raises(ValueError):
             extract_solution(inst, values)
 
-    def test_cardinality_mismatch_rejected(self):
-        inst = cc_ip(profile_e1(), BORDA3, 2)
-        with pytest.raises(ValueError):
-            committee_assignment(inst, {"a"})
+
+def _fixed_committee_value(inst, committee):
+    """The program's optimum with its committee variables fixed to ``committee``,
+    read through ``extract_solution`` (so the vertex must be integral)."""
+    fixed = {}
+    for idx in inst.variables_by_role("committee"):
+        bit = rat(1 if inst.variables[idx].name[len("y_"):] in committee else 0)
+        fixed[idx] = (bit, bit)
+    extracted = extract_solution(inst, solve_lp(inst, bound_overrides=fixed).values)
+    assert extracted.committee == frozenset(committee)
+    return extracted.objective
 
 
 class TestObjectiveLinkage:
-    """The instance objective at the canonical assignment of ANY committee
-    equals the rule value of that committee, not only at optima."""
+    """The program's optimum with ANY committee fixed equals the rule value of
+    that committee, not only at the unconstrained optimum."""
 
     def test_cc_and_owa_on_random_profiles(self):
         rng = random.Random(1009)
@@ -317,12 +324,10 @@ class TestObjectiveLinkage:
             cc_rule = RuleSpec("cc", k, weights=w)
             owa_rule = RuleSpec("owa", k, weights=w, owa=alpha)
             for committee in itertools.combinations(profile.alternatives, k):
-                cc_vals = committee_assignment(cc_inst, committee)
-                assert extract_solution(cc_inst, cc_vals).objective == committee_value(
+                assert _fixed_committee_value(cc_inst, committee) == committee_value(
                     cc_rule, profile, committee
                 )
-                owa_vals = committee_assignment(owa_inst, committee)
-                assert extract_solution(owa_inst, owa_vals).objective == committee_value(
+                assert _fixed_committee_value(owa_inst, committee) == committee_value(
                     owa_rule, profile, committee
                 )
 
@@ -335,8 +340,7 @@ class TestObjectiveLinkage:
             inst = pav_ip(ap, alpha, k)
             rule = RuleSpec("pav", k, owa=alpha)
             for committee in itertools.combinations(ap.alternatives, k):
-                values = committee_assignment(inst, committee)
-                assert extract_solution(inst, values).objective == committee_value(
+                assert _fixed_committee_value(inst, committee) == committee_value(
                     rule, ap, committee
                 )
 
@@ -620,7 +624,10 @@ class TestInvariances:
         for _ in range(6):
             ap = random_approval_profile(rng, 4, 4)
             inst = pav_ip(ap, OwaVector.harmonic(2), 2)
-            relaxed = relax_point_integrality(inst)
+            relaxed = dataclasses.replace(inst, variables=tuple(
+                dataclasses.replace(v, integral=False) if v.role == "point" else v
+                for v in inst.variables
+            ))
             assert not any(v.integral and v.role == "point" for v in relaxed.variables)
             assert solve_ip(inst).final.objective == solve_ip(relaxed).final.objective
 

@@ -58,6 +58,7 @@ class TestParsing:
             ("3\na b c\n1: a > b\n", "missing", 3),
             ("3\na b c\nnonsense\n", "count", 3),
             ("3\na b c\n0: a > b > c\n", "multiplicity", 3),
+            ("3\na b c\n1: c > b > a\n100000000000000000000: a > b > c\n", "multiplicity", 4),
             ("2\na a\n1: a > a\n", "duplicate", 2),
             ("2\na~x b\n1: a~x > b\n", "illegal", 2),
         ],
