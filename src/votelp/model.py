@@ -17,8 +17,11 @@ line is ``<count>: <order>`` where the order is a ``>``-separated list of
 groups; a group is a bare name or ``{n1,n2,...}``.  Approval format uses the
 same header and one brace group per line: ``<count>: {n1,...}``.
 Counts are expanded into repeated voters (a count too large to expand is a
-format error on its line); top segments and groups of identical voters are
-derived once, here, for every other module to read.
+format error on its line).  Each distinct order body is parsed once, so equal
+lines share one object, and each distinct voter is rendered once; top
+segments and groups of identical voters are derived once, here, for every
+other module to read.  The seeded generators likewise build each distinct
+order or ballot once.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, groupby
 
 FORBIDDEN_NAME_CHARS = set(",>{}~:")
 
@@ -288,23 +291,20 @@ def parse_profile(text: str, format: str = "ranked"):
         raise ProfileFormatError("duplicate alternative names", lineno)
     alt_set = frozenset(names)
 
-    voters: list[WeakOrder] = []
-    ballots: list[frozenset[str]] = []
+    parse_body = _parse_ballot if format == "approval" else _parse_order
+    parsed: dict = {}  # body text -> its order or ballot, parsed on first sight
+    items: list = []
     for lineno, line in numbered[2:]:
         if ":" not in line:
             raise ProfileFormatError("expected '<count>: <order>'", lineno)
-        count_part, _, order_part = line.partition(":")
+        count_part, _, body = line.partition(":")
         try:
             count = int(count_part.strip())
         except ValueError:
             raise ProfileFormatError(f"bad multiplicity {count_part.strip()!r}", lineno)
         if count < 1:
             raise ProfileFormatError("multiplicity must be at least 1", lineno)
-        if format == "approval":
-            ballot = _parse_group(order_part.strip(), alt_set, lineno, allow_empty=True)
-            items, item = ballots, frozenset(ballot)
-        else:
-            items, item = voters, _parse_order(order_part, alt_set, lineno)
+        item = _shared(parsed, body.strip(), parse_body, alt_set, lineno)
         try:
             items.extend([item] * count)
         except (MemoryError, OverflowError):
@@ -312,8 +312,18 @@ def parse_profile(text: str, format: str = "ranked"):
                 f"multiplicity {count} is too large to expand", lineno
             ) from None
     if format == "approval":
-        return ApprovalProfile(names, tuple(ballots))
-    return Profile(names, tuple(voters))
+        return ApprovalProfile(names, tuple(items))
+    return Profile(names, tuple(items))
+
+
+def _shared(built: dict, key, make, *args):
+    """``built[key]``, made by ``make(key, *args)`` the first time ``key`` is
+    seen, so that equal keys share one object."""
+    try:
+        return built[key]
+    except KeyError:
+        value = built[key] = make(key, *args)
+        return value
 
 
 def _parse_group(token: str, alt_set, lineno: int, allow_empty: bool = False):
@@ -340,6 +350,10 @@ def _parse_group(token: str, alt_set, lineno: int, allow_empty: bool = False):
     return group
 
 
+def _parse_ballot(body: str, alt_set, lineno: int) -> frozenset[str]:
+    return frozenset(_parse_group(body, alt_set, lineno, allow_empty=True))
+
+
 def _parse_order(body: str, alt_set, lineno: int) -> WeakOrder:
     classes = []
     seen: set[str] = set()
@@ -362,6 +376,14 @@ def _format_class(cls: frozenset[str]) -> str:
     return "{" + ",".join(members) + "}"
 
 
+def _format_order(order: WeakOrder) -> str:
+    return " > ".join(_format_class(c) for c in order.indifference_classes)
+
+
+def _format_ballot(ballot: frozenset[str]) -> str:
+    return "{" + ",".join(sorted(ballot)) + "}"
+
+
 def serialize_profile(profile) -> str:
     """Canonical text for a Profile or ApprovalProfile.
 
@@ -371,20 +393,14 @@ def serialize_profile(profile) -> str:
     identity byte-for-byte.
     """
     lines = [str(profile.m), " ".join(profile.alternatives)]
-    if isinstance(profile, ApprovalProfile):
-        rendered = ["{" + ",".join(sorted(b)) + "}" for b in profile.ballots]
-    else:
-        rendered = [
-            " > ".join(_format_class(c) for c in v.indifference_classes)
-            for v in profile.voters
-        ]
-    idx = 0
-    while idx < len(rendered):
-        run = 1
-        while idx + run < len(rendered) and rendered[idx + run] == rendered[idx]:
-            run += 1
-        lines.append(f"{run}: {rendered[idx]}")
-        idx += run
+    render = _format_ballot if isinstance(profile, ApprovalProfile) else _format_order
+    rendered = [""] * profile.n
+    for item, members in profile.groups:  # each distinct voter rendered once
+        text = render(item)
+        for i in members:
+            rendered[i] = text
+    for text, run in groupby(rendered):
+        lines.append(f"{sum(1 for _ in run)}: {text}")
     return "\n".join(lines) + "\n"
 
 
@@ -417,6 +433,7 @@ def generate_single_peaked(m: int, n: int, seed: int) -> tuple[Profile, Axis]:
     rng, names = _seeded(m, n, seed)
     axis_order = list(names)
     rng.shuffle(axis_order)
+    orders: dict = {}  # best-to-worst tuple -> its order, built once
     voters = []
     for _ in range(n):
         lo, hi = 0, m - 1
@@ -429,7 +446,7 @@ def generate_single_peaked(m: int, n: int, seed: int) -> tuple[Profile, Axis]:
                 worst_to_best.append(axis_order[hi])
                 hi -= 1
         worst_to_best.append(axis_order[lo])
-        voters.append(WeakOrder.linear(reversed(worst_to_best)))
+        voters.append(_shared(orders, tuple(reversed(worst_to_best)), WeakOrder.linear))
     return Profile(names, tuple(voters)), Axis(tuple(axis_order))
 
 
@@ -467,19 +484,21 @@ def generate_candidate_interval(m: int, n: int, seed: int) -> tuple[ApprovalProf
     axis_order = list(names)
     rng.shuffle(axis_order)
     intervals = [(lo, hi) for lo in range(m) for hi in range(lo, m)]
+    built: dict = {}  # interval -> its ballot, built once
     ballots = []
     for _ in range(n):
         lo, hi = intervals[rng.randrange(len(intervals))]
-        ballots.append(frozenset(axis_order[lo : hi + 1]))
+        ballots.append(_shared(built, (lo, hi), lambda _: frozenset(axis_order[lo : hi + 1])))
     return ApprovalProfile(names, tuple(ballots)), Axis(tuple(axis_order))
 
 
 def generate_random_linear(m: int, n: int, seed: int) -> Profile:
     """Unstructured profile of uniformly random linear orders."""
     rng, names = _seeded(m, n, seed)
+    orders: dict = {}  # best-to-worst tuple -> its order, built once
     voters = []
     for _ in range(n):
         order = list(names)
         rng.shuffle(order)
-        voters.append(WeakOrder.linear(order))
+        voters.append(_shared(orders, tuple(order), WeakOrder.linear))
     return Profile(names, tuple(voters))

@@ -414,10 +414,18 @@ def parse_matrix(text: str) -> SignedMatrix:
         if len(row) != ncols:
             raise ValueError(f"expected {ncols} entries per row")
         entries.append(row)
+    # with no rows the text does not bound the declared width: the labels are
+    # asked for in one allocation, so a width no process can hold fails at once
+    try:
+        col_labels = [None] * ncols
+        for j in range(ncols):
+            col_labels[j] = f"c{j + 1}"
+    except (MemoryError, OverflowError):
+        raise ValueError(f"{ncols} columns are too many to hold") from None
     return SignedMatrix(
         tuple(entries),
         tuple(f"r{i + 1}" for i in range(nrows)),
-        tuple(f"c{j + 1}" for j in range(ncols)),
+        tuple(col_labels),
     )
 
 

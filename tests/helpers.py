@@ -11,6 +11,8 @@ from __future__ import annotations
 import itertools
 import random
 
+from hypothesis import strategies as st
+
 from votelp import ApprovalProfile, Profile, parse_profile
 
 
@@ -191,3 +193,40 @@ def recount(text, factors):
         count, _, body = line.partition(":")
         out.append(f"{int(count) * factor}:{body}")
     return "\n".join(out) + "\n"
+
+
+# the tokens profile text is made of, besides counts and the header
+_TEXT_TOKENS = ("a", "b", "c", "d", "{", "}", ",", ">", " ", ":")
+
+
+@st.composite
+def _well_formed_body(draw, names):
+    """A ranked order or approval ballot over ``names``, spaced at random and
+    with its members in drawn order (so equal bodies get different spellings)."""
+    order = draw(st.permutations(names))
+    if draw(st.booleans()):
+        size = draw(st.integers(0, len(order)))
+        return "{" + ",".join(order[:size]) + "}"
+    classes, start = [], 0
+    while start < len(order):
+        end = draw(st.integers(start + 1, len(order)))
+        cls = order[start:end]
+        classes.append(cls[0] if len(cls) == 1 and draw(st.booleans()) else "{" + ",".join(cls) + "}")
+        start = end
+    return draw(st.sampled_from((" > ", ">", "  >  "))).join(classes)
+
+
+@st.composite
+def profile_texts(draw):
+    """Profile text built from header, count, name, brace, ``,`` and ``>``
+    tokens, valid or not, with counts of at most 10^3 and bodies drawn from a
+    small pool so that lines repeat."""
+    names = draw(st.lists(st.sampled_from("abcd"), min_size=1, max_size=4))
+    m = draw(st.one_of(st.just(len(names)), st.integers(0, 5)))
+    soup = st.lists(st.sampled_from(_TEXT_TOKENS), max_size=10).map("".join)
+    bodies = draw(st.lists(st.one_of(soup, _well_formed_body(names)), min_size=1, max_size=3))
+    lines = [str(m), " ".join(names)]
+    for _ in range(draw(st.integers(0, 5))):
+        count = draw(st.one_of(st.integers(-1, 1000).map(str), soup))
+        lines.append(f"{count}:{draw(st.sampled_from(('', ' ')))}{draw(st.sampled_from(bodies))}")
+    return "\n".join(lines) + "\n"

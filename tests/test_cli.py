@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import resource
 import subprocess
@@ -18,6 +20,8 @@ from votelp import (
     generate_single_peaked,
     serialize_profile,
 )
+
+from helpers import profile_texts
 
 E1_TEXT = "3\na b c\n1: a > b > c\n1: b > a > c\n1: c > b > a\n"
 E3_TEXT = "3\na b c\n2: c > a > b\n1: b > a > c\n"
@@ -174,6 +178,17 @@ class TestYoungCommand:
 
 
 class TestRecognizeCommand:
+    @given(profile_texts(), st.sampled_from(("ranked", "approval")))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_fuzzed_text_exits_0_or_2(self, tmp_path_factory, text, format):
+        path = tmp_path_factory.getbasetemp() / "fuzz.prof"
+        path.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            status = votelp.cli.main(["recognize", "--format", format, "--input", str(path)])
+        assert status in (0, 2), out.getvalue()
+        assert (status == 0) == (err.getvalue() == "")
+
     def test_cycle_rejected_by_both(self, tmp_path):
         path = tmp_path / "cycle.prof"
         path.write_text(CYCLE_TEXT)
@@ -386,6 +401,19 @@ class TestMatrixCommands:
             path.write_text(text)
             report = run_json("matrix", "tu", "--budget", "0", "--input", str(path))
             assert report["result"] == result
+
+    @pytest.mark.parametrize("command", ["c1p", "tu"])
+    def test_wide_zero_row_matrix_exit_2(self, command, tmp_path):
+        path = tmp_path / "wide.mat"
+        path.write_text("0 100000000000000\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "votelp", "matrix", command, "--input", str(path)],
+            capture_output=True,
+            text=True,
+            preexec_fn=_limit_address_space,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "100000000000000 columns" in proc.stderr
 
     def test_c1p_rejects_signed(self, tmp_path):
         path = tmp_path / "signed.mat"

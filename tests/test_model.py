@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from votelp import (
     WeakOrder,
     build_ballot_matrix,
     generate_candidate_interval,
+    generate_random_linear,
     generate_single_crossing,
     generate_single_peaked,
     has_c1p,
@@ -22,7 +24,7 @@ from votelp import (
 )
 from votelp.model import default_alternative_names
 
-from helpers import approval, profile_e1, profile_e3, ranked
+from helpers import approval, profile_e1, profile_e3, profile_texts, ranked
 
 
 class TestParsing:
@@ -83,6 +85,109 @@ class TestParsing:
         assert normalized == "3\na b c\n2: {a,b} > c\n"
         # normal form is a fixed point
         assert serialize_profile(parse_profile(normalized)) == normalized
+
+
+# the four seeded generators, each returning just its profile
+_GENERATED = {
+    "sp": lambda m, n, seed: generate_single_peaked(m, n, seed)[0],
+    "sc": lambda m, n, seed: generate_single_crossing(m, n, seed)[0],
+    "ci": lambda m, n, seed: generate_candidate_interval(m, n, seed)[0],
+    "random": generate_random_linear,
+}
+
+# sha256 over serialize_profile of every (n, seed) in the grid below, per
+# (kind, m): pins the generators' random streams and the text bytes at once
+_TEXT_DIGESTS = {
+    ("sp", 1): "7fb625b94e6f284b0521936d721e2139faf4bd5aec00ca676dff7808384a9614",
+    ("sp", 3): "4f767b1120cbff15a4e1aea967063236c9a47f8c83235c55a02fbe35d444e290",
+    ("sp", 6): "91355a042c468a2c0de205fdc2db5c77266b96e5e1d2d5a100f065bd1a35dff4",
+    ("sp", 10): "a52fd60e2aab8a3b675501318e9c8fe7cd219a9553c3c61094d250c8ec73ac46",
+    ("sc", 1): "7fb625b94e6f284b0521936d721e2139faf4bd5aec00ca676dff7808384a9614",
+    ("sc", 3): "4f444dcff442b19b14a30dd57d00c71e01fd975c509b579af51701782daed341",
+    ("sc", 6): "1d671ee1e979b537af3d13bc963df937d2bb06af71e5e709a5fa9db739ad3376",
+    ("sc", 10): "98a699c760bee79054a45f055b768ce5a3a495baf4aec54b7058a28048dd8a5d",
+    ("ci", 1): "1b75e88e7c91bde99ee28a8bbee64786891e19df434b55171280955a17f633a2",
+    ("ci", 3): "cbc8cc0969e6d65be3dfae207da94b9ade6cf620722249211d2f41fb752e08d3",
+    ("ci", 6): "3e7e545aa6950ca8bb2b406d0c771b72f9efcf251d9f24559da2f35ad6c668a6",
+    ("ci", 10): "0b582a871c2fc2fcc501f6e66900843403c8fca2f16ca8ee987532fda67c9045",
+    ("random", 1): "7fb625b94e6f284b0521936d721e2139faf4bd5aec00ca676dff7808384a9614",
+    ("random", 3): "f9c5b375104b7090c893dde22532d5bfa98bb9339e63a1e0ed10ef9b7a54bdce",
+    ("random", 6): "9e5e19402d5aa69960f91f2990bc9c61f861972bf2c85a75cee58a9b694ab4cc",
+    ("random", 10): "029d7b8a3f73741a1cba4ea991f9c0b773e5681d69c01c0086afd3c96cce66b1",
+}
+
+
+class TestTextPins:
+    @pytest.mark.parametrize("kind,m", sorted(_TEXT_DIGESTS))
+    def test_generated_text_digest(self, kind, m):
+        digest = hashlib.sha256()
+        for n in (1, 2, 50, 700):
+            for seed in (0, 1, 2):
+                digest.update(serialize_profile(_GENERATED[kind](m, n, seed)).encode())
+        assert digest.hexdigest() == _TEXT_DIGESTS[kind, m]
+
+    @pytest.mark.parametrize("kind,n", [("sp", 5000), ("ci", 5000), ("random", 5000), ("sc", 2000)])
+    def test_large_round_trip(self, kind, n):
+        generated = _GENERATED[kind](10, n, 1)
+        text = serialize_profile(generated)
+        parsed = parse_profile(text, format="approval" if kind == "ci" else "ranked")
+        assert parsed == generated
+        assert serialize_profile(parsed) == text
+
+
+# per text format: a body, the same body spelled another way, a malformed body
+_BODIES = {
+    "ranked": ("{a,b} > c", "{b,a} > c", "a > z > c"),
+    "approval": ("{a,b}", "{b,a}", "{a,z}"),
+}
+_HEAD = "3\na b c\n"
+
+
+@pytest.mark.parametrize("format", sorted(_BODIES))
+class TestParseEdges:
+    def test_malformed_body_names_its_first_line(self, format):
+        good, _, bad = _BODIES[format]
+        text = _HEAD + f"1: {bad}\n2: {good}\n1: {bad}\n"
+        with pytest.raises(ProfileFormatError, match="^line 3: unknown alternative 'z'$"):
+            parse_profile(text, format=format)
+
+    @pytest.mark.parametrize(
+        "count,fragment",
+        [("0", "multiplicity must be at least 1"), ("x", "bad multiplicity 'x'")],
+    )
+    def test_bad_count_on_repeated_body_names_its_line(self, format, count, fragment):
+        good, other, _ = _BODIES[format]
+        text = _HEAD + f"1: {good}\n2: {other}\n{count}: {good}\n"
+        with pytest.raises(ProfileFormatError, match=f"^line 5: {fragment}"):
+            parse_profile(text, format=format)
+
+    def test_spellings_of_one_body_form_one_group(self, format):
+        good, other, _ = _BODIES[format]
+        election = parse_profile(_HEAD + f"1: {other}\n1: {good}\n", format=format)
+        assert [members for _, members in election.groups] == [(0, 1)]
+
+    def test_equal_lines_share_one_object(self, format):
+        good, other, _ = _BODIES[format]
+        third = "c > b > a" if format == "ranked" else "{c}"
+        bodies = [good, third, good, other, "  " + good, third]
+        text = _HEAD + "".join(f"2: {body}\n" for body in bodies)
+        election = parse_profile(text, format=format)
+        items = election.voters if format == "ranked" else election.ballots
+        assert len(items) == 12
+        assert len({id(item) for item in items}) == len({b.strip() for b in bodies})
+
+
+class TestParseFuzz:
+    @given(profile_texts(), st.sampled_from(("ranked", "approval")))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_parse_raises_or_round_trips(self, text, format):
+        try:
+            election = parse_profile(text, format=format)
+        except ProfileFormatError:
+            return
+        normal = serialize_profile(election)
+        assert parse_profile(normal, format=format) == election
+        assert serialize_profile(parse_profile(normal, format=format)) == normal
 
 
 @st.composite

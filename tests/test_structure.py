@@ -420,7 +420,12 @@ class TestMatrixUtilities:
             parse_matrix("2 2\n1 0\n")
         with pytest.raises(ValueError):
             parse_matrix("1 2\n1 0 1\n")
-        for text, named in (("0 -3\n", "-3 columns"), ("-1 2\n", "-1 rows")):
+        for text, named in (
+            ("0 -3\n", "-3 columns"),
+            ("-1 2\n", "-1 rows"),
+            # past the index size, so refused before any allocation
+            ("0 100000000000000000000\n", "100000000000000000000 columns are too many"),
+        ):
             with pytest.raises(ValueError, match=named):
                 parse_matrix(text)
 
