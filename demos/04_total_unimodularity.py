@@ -3,8 +3,9 @@
 A 0/1 matrix whose columns can be ordered so that every row's ones are
 contiguous is totally unimodular, and totally unimodular matrices have integral
 LP vertices.  The committee programs are built so their coefficient matrices
-reduce to exactly the segment matrix (plus an all-ones row), which has the
-consecutive-ones property whenever the profile is single-peaked.
+reduce to an all-ones cardinality row over the distinct rows of the segment
+matrix, which has the consecutive-ones property whenever the profile is
+single-peaked.
 
 Run:  python demos/04_total_unimodularity.py
 """
@@ -13,22 +14,22 @@ from votelp import (
     BinaryMatrix,
     ScoringVector,
     SignedMatrix,
-    append_all_ones_row,
-    apply_column_permutation,
-    build_sp_matrix,
     cc_ip,
     committee_submatrix,
-    dedup_rows,
+    constraint_matrix,
     generate_single_peaked,
     has_c1p,
+    is_single_peaked,
     is_totally_unimodular,
     parse_profile,
 )
 
 
-def show(matrix):
+def show(matrix, order=None):
+    """Print the rows, reading the columns in ``order`` (default: as stored)."""
+    order = order or range(matrix.num_cols)
     for label, row in zip(matrix.row_labels, matrix.entries):
-        print(f"  {label:>8}  {' '.join(f'{v:>2}' for v in row)}")
+        print(f"  {label:>8}  {' '.join(f'{row[j]:>2}' for j in order)}")
 
 
 print("=== consecutive ones, found by column placement ===")
@@ -40,7 +41,7 @@ scrambled = BinaryMatrix(
 show(scrambled)
 perm = has_c1p(scrambled)
 print("column order that works:", perm)
-show(apply_column_permutation(scrambled, perm))
+show(scrambled, perm)
 
 print()
 print("=== the signing test for total unimodularity ===")
@@ -55,26 +56,20 @@ print(
 )
 
 print()
-print("=== structured constraint matrices pass, three ways ===")
+print("=== structured constraint matrices pass, two ways ===")
 profile, _ = generate_single_peaked(m=5, n=6, seed=4)
-segment = build_sp_matrix(profile)
-print("segment matrix + all-ones row:", is_totally_unimodular(append_all_ones_row(segment)).kind)
 instance = cc_ip(profile, ScoringVector.borda(5), k=2)
-reduced = dedup_rows(committee_submatrix(instance, include_cardinality=True))
-print(f"reduced committee columns ({reduced.num_rows} rows):",
+reduced = committee_submatrix(instance)
+print(f"committee columns: cardinality row + {reduced.num_rows - 1} distinct segments:",
       is_totally_unimodular(reduced).kind)
 small_profile, _ = generate_single_peaked(m=3, n=4, seed=4)
 small_instance = cc_ip(small_profile, ScoringVector.borda(3), k=2)
-from votelp import constraint_matrix
-
 print("full coefficient matrix of a tiny instance:",
       is_totally_unimodular(constraint_matrix(small_instance)).kind)
 
 print()
 print("=== two voters suffice even without an axis ===")
 two = parse_profile("4\na b c d\n1: a > b > c > d\n1: a > d > c > b\n")
-from votelp import is_single_peaked
-
 print("single-peaked?", is_single_peaked(two))
-matrix = append_all_ones_row(build_sp_matrix(two))
+matrix = committee_submatrix(cc_ip(two, ScoringVector.borda(4), k=1))
 print("segment matrix + ones row still tests:", is_totally_unimodular(matrix).kind)

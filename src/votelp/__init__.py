@@ -28,17 +28,12 @@ from .structure import (
     BinaryMatrix,
     SignedMatrix,
     TUResult,
-    append_all_ones_row,
-    apply_column_permutation,
-    build_ballot_matrix,
     build_sc_matrix,
     build_sp_matrix,
-    dedup_rows,
     has_c1p,
     is_candidate_interval,
     is_single_crossing,
     is_single_peaked,
-    is_strong_c1p,
     is_totally_unimodular,
     parse_matrix,
     serialize_matrix,

@@ -456,17 +456,16 @@ def constraint_matrix(inst: IPInstance):
     )
 
 
-def committee_submatrix(inst: IPInstance, include_cardinality: bool = False):
+def committee_submatrix(inst: IPInstance):
     """|coefficients| of committee/deletion columns, one row per constraint
-    (the cardinality row excluded by default).  This strips the point-variable
-    unit columns, which is the reduction that preserves total unimodularity
-    in both directions."""
+    in program order: for cc/owa/pav the cardinality row, then one row per
+    distinct top segment or ballot.  This strips the point-variable unit
+    columns, which is the reduction that preserves total unimodularity in
+    both directions, so its TU is what makes the relaxation integral."""
     cols = inst.variables_by_role(COMMITTEE) or inst.variables_by_role(DELETION)
     entries = []
     labels = []
     for con in inst.constraints:
-        if con.label == CARDINALITY_LABEL and not include_cardinality:
-            continue
         coefs = dict(con.coeffs)
         row = []
         for idx in cols:

@@ -11,7 +11,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .model import Profile, majority_margin
+from .model import Profile
 from .formulate import ZERO, RuleSpec
 
 MAX_COMMITTEE_SPACE = 10**6
@@ -92,13 +92,10 @@ def brute_force_egalitarian(rule: RuleSpec, election) -> OracleResult:
 
 
 def condorcet_winner(profile: Profile):
-    """The alternative beating every other in pairwise majority, if any."""
+    """The alternative beating every other in pairwise majority, if any,
+    counted voter by voter."""
     for c in profile.alternatives:
-        if all(
-            majority_margin(profile, b, c) < 0
-            for b in profile.alternatives
-            if b != c
-        ):
+        if _strict_winner_of_subset(profile, range(profile.n), c):
             return c
     return None
 

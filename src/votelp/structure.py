@@ -1,10 +1,10 @@
 """Structural tests on profiles and 0/±1 matrices.
 
 Builds the top-initial-segment incidence matrix (one row per voter/rank
-pair), the ballot matrix and the pairwise-comparison matrix (one column per
-voter), recognizes the consecutive-ones property by an iterative
-backtracking column placement over sets of column indices, and tests total
-unimodularity with the Ghouila-Houri row-signing criterion at desk scale.
+pair) and the pairwise-comparison matrix (one column per voter), recognizes
+the consecutive-ones property by an iterative backtracking column placement
+over sets of column indices, and tests total unimodularity with the
+Ghouila-Houri row-signing criterion at desk scale.
 Single-peaked and candidate-interval recognition are one interval-axis
 check: the same search on the top segments of the distinct orders, or on
 the distinct ballots, as the model derives them, mapped to index sets
@@ -65,8 +65,9 @@ class BinaryMatrix(SignedMatrix):
 
 def build_sp_matrix(profile: Profile) -> BinaryMatrix:
     """Top-initial-segment incidence matrix: one column per alternative, one
-    row per (voter, rank threshold) pair, duplicates included.  The rows of
-    the cc/owa programs are ``dedup_rows`` of this matrix."""
+    row per (voter, rank threshold) pair, duplicates included.  Its distinct
+    rows are the committee rows of the cc/owa programs: the rows after the
+    cardinality row in ``formulate.committee_submatrix``."""
     cols = profile.alternatives
     entries = []
     labels = []
@@ -75,16 +76,6 @@ def build_sp_matrix(profile: Profile) -> BinaryMatrix:
             entries.append(tuple(1 if c in segment else 0 for c in cols))
             labels.append(f"v{i + 1}:t{t}")
     return BinaryMatrix(tuple(entries), tuple(labels), cols)
-
-
-def build_ballot_matrix(approval: ApprovalProfile) -> BinaryMatrix:
-    """Ballot incidence matrix: rows are approval sets, columns alternatives."""
-    cols = approval.alternatives
-    entries = tuple(
-        tuple(1 if c in ballot else 0 for c in cols) for ballot in approval.ballots
-    )
-    labels = tuple(f"v{i + 1}" for i in range(approval.n))
-    return BinaryMatrix(entries, labels, cols)
 
 
 def build_sc_matrix(profile: Profile) -> BinaryMatrix:
@@ -108,24 +99,6 @@ def build_sc_matrix(profile: Profile) -> BinaryMatrix:
 
 # ---------------------------------------------------------------------------
 # consecutive ones
-
-
-def is_strong_c1p(matrix: BinaryMatrix) -> bool:
-    """Do the 1s of every row already form a contiguous block?"""
-    for row in matrix.entries:
-        ones = [j for j, v in enumerate(row) if v]
-        if ones and ones[-1] - ones[0] + 1 != len(ones):
-            return False
-    return True
-
-
-def apply_column_permutation(matrix: BinaryMatrix, perm) -> BinaryMatrix:
-    perm = tuple(perm)
-    if sorted(perm) != list(range(matrix.num_cols)):
-        raise ValueError("not a column permutation")
-    entries = tuple(tuple(row[j] for j in perm) for row in matrix.entries)
-    cols = tuple(matrix.col_labels[j] for j in perm)
-    return BinaryMatrix(entries, matrix.row_labels, cols)
 
 
 def _consecutive_order(sets, ncols):
@@ -366,30 +339,6 @@ def is_totally_unimodular(matrix, row_budget: int = 16) -> TUResult:
                     wr, wc = wc, wr
                 return TUResult("not_tu", tuple(wr), tuple(wc), det)
     return TUResult("tu")
-
-
-# ---------------------------------------------------------------------------
-# small matrix manipulations used by tests and reports
-
-
-def append_all_ones_row(matrix: BinaryMatrix) -> BinaryMatrix:
-    row = tuple(1 for _ in range(matrix.num_cols))
-    return BinaryMatrix(
-        matrix.entries + (row,), matrix.row_labels + ("ones",), matrix.col_labels
-    )
-
-
-def dedup_rows(matrix):
-    """Drop duplicate rows, keeping first occurrences (TU/C1P-irrelevant)."""
-    seen = {}
-    rows, labels = [], []
-    for row, label in zip(matrix.entries, matrix.row_labels):
-        if row not in seen:
-            seen[row] = True
-            rows.append(row)
-            labels.append(label)
-    cls = type(matrix)
-    return cls(tuple(rows), tuple(labels), matrix.col_labels)
 
 
 # ---------------------------------------------------------------------------

@@ -161,20 +161,24 @@ def tu_by_determinant_enumeration(matrix) -> bool:
     return True
 
 
+def keeps_rows_contiguous(matrix, perm) -> bool:
+    """Is ``perm`` (new position -> old column index) a permutation of the
+    columns that puts every row's 1s next to each other?"""
+    if sorted(perm) != list(range(len(matrix.col_labels))):
+        return False
+    for row in matrix.entries:
+        ones = [pos for pos, j in enumerate(perm) if row[j]]
+        if ones and ones[-1] - ones[0] + 1 != len(ones):
+            return False
+    return True
+
+
 def first_c1p_permutation(matrix):
     """Independent consecutive-ones oracle: the first column permutation, in
     ``itertools.permutations`` order, that makes every row's 1s contiguous,
     or None."""
-    rows = [tuple(row) for row in matrix.entries]
-    ncols = len(matrix.col_labels)
-    for perm in itertools.permutations(range(ncols)):
-        ok = True
-        for row in rows:
-            ones = [pos for pos, j in enumerate(perm) if row[j]]
-            if ones and ones[-1] - ones[0] + 1 != len(ones):
-                ok = False
-                break
-        if ok:
+    for perm in itertools.permutations(range(len(matrix.col_labels))):
+        if keeps_rows_contiguous(matrix, perm):
             return perm
     return None
 
@@ -193,6 +197,31 @@ def recount(text, factors):
         count, _, body = line.partition(":")
         out.append(f"{int(count) * factor}:{body}")
     return "\n".join(out) + "\n"
+
+
+@st.composite
+def small_elections(draw):
+    """A profile of linear orders, of weak orders or of approval ballots, with
+    at most 5 alternatives and 7 voters, and its text format."""
+    from votelp import WeakOrder
+    from votelp.model import default_alternative_names
+
+    names = default_alternative_names(draw(st.integers(1, 5)))
+    kind = draw(st.sampled_from(("linear", "weak", "approval")))
+    voters = []
+    for _ in range(draw(st.integers(1, 7))):
+        order = draw(st.permutations(names))
+        if kind == "approval":
+            voters.append(frozenset(order[: draw(st.integers(0, len(order)))]))
+            continue
+        if kind == "linear":
+            cuts = range(len(order) + 1)
+        else:
+            cuts = sorted({0, len(order), *draw(st.lists(st.integers(1, len(order)), max_size=3))})
+        voters.append(WeakOrder.from_classes(order[a:b] for a, b in zip(cuts, cuts[1:])))
+    if kind == "approval":
+        return ApprovalProfile(names, tuple(voters)), "approval"
+    return Profile(names, tuple(voters)), "ranked"
 
 
 # the tokens profile text is made of, besides counts and the header

@@ -15,22 +15,18 @@ from votelp import (
     OwaVector,
     RuleSpec,
     ScoringVector,
-    append_all_ones_row,
     brute_force_committee,
     brute_force_egalitarian,
-    build_ballot_matrix,
-    build_sp_matrix,
     cc_ip,
     committee_submatrix,
-    dedup_rows,
     egalitarian_solve,
     generate_candidate_interval,
     generate_single_crossing,
     generate_single_peaked,
     has_c1p,
+    is_candidate_interval,
     is_single_crossing,
     is_single_peaked,
-    is_strong_c1p,
     is_totally_unimodular,
     owa_ip,
     pav_ip,
@@ -217,9 +213,10 @@ def test_criterion_3_general_correctness_off_domain():
 
 
 def test_criterion_4_tu_structure():
-    """Structured constraint matrices (unit point columns stripped, duplicate
-    rows merged, <= 16 rows) test totally unimodular, and the signing test
-    agrees with full determinant enumeration on random small matrices."""
+    """Structured constraint matrices (each program's committee columns, unit
+    point columns stripped, <= 16 rows) test totally unimodular, and the
+    signing test agrees with full determinant enumeration on random small
+    matrices."""
     checked = 0
     for trial in range(50):
         rng = random.Random(500_000 + trial)
@@ -230,19 +227,16 @@ def test_criterion_4_tu_structure():
         if which == 0:
             profile, _ = generate_single_peaked(m, n, 500_000 + trial)
             inst = cc_ip(profile, ScoringVector.borda(m), k)
-            reduced = dedup_rows(committee_submatrix(inst, include_cardinality=True))
         elif which == 1:
             approval, _ = generate_candidate_interval(m, n, 500_000 + trial)
             inst = pav_ip(approval, OwaVector.harmonic(k), k)
-            reduced = dedup_rows(committee_submatrix(inst, include_cardinality=True))
         elif which == 2:
             profile, _ = generate_single_peaked(m, n, 500_000 + trial)
             inst = owa_ip(profile, ScoringVector.borda(m), OwaVector.constant(k), k)
-            reduced = dedup_rows(committee_submatrix(inst, include_cardinality=True))
         else:
             profile, _ = generate_single_crossing(m, n, 500_000 + trial)
             inst = young_ip(profile, profile.alternatives[rng.randrange(m)])
-            reduced = dedup_rows(committee_submatrix(inst))
+        reduced = committee_submatrix(inst)
         assert reduced.num_rows <= 16
         assert is_totally_unimodular(reduced).is_tu, f"trial {trial}"
         checked += 1
@@ -264,7 +258,8 @@ def test_criterion_4_tu_structure():
 
 def test_criterion_5_two_voter_profiles():
     """Two-voter profiles need not be single-peaked, yet their segment matrix
-    plus an all-ones row is still totally unimodular."""
+    plus an all-ones row (the cc program's committee columns) is still
+    totally unimodular."""
     for trial in range(30):
         rng = random.Random(700_000 + trial)
         m = rng.randint(1, 6)
@@ -274,7 +269,7 @@ def test_criterion_5_two_voter_profiles():
             rng.shuffle(names)
             orders.append(">".join(names))
         profile = ranked(" ".join(sorted(names)), *orders)
-        matrix = append_all_ones_row(build_sp_matrix(profile))
+        matrix = committee_submatrix(cc_ip(profile, ScoringVector.borda(m), 1))
         assert is_totally_unimodular(matrix).is_tu, f"trial {trial}"
     report_line(5, "two-voter segment matrices", "30/30 tu")
 
@@ -340,13 +335,14 @@ def test_criterion_7_recognition():
                     assert positions[-1] - positions[0] + 1 == len(positions)
 
         approval, _ = generate_candidate_interval(m, n, 1_000_000 + trial)
-        perm = has_c1p(build_ballot_matrix(approval))
-        assert perm is not None, f"ci trial {trial}"
+        axis = is_candidate_interval(approval)
+        assert axis is not None, f"ci trial {trial}"
+        for ballot in approval.ballots:
+            assert axis.is_interval(ballot)
 
     cycle = profile_cycle3()
     assert is_single_peaked(cycle) is None
     assert is_single_crossing(cycle) is None
-    assert is_strong_c1p(PAPER_MATRIX)
     assert has_c1p(PAPER_MATRIX) == (0, 1, 2, 3, 4, 5)
     report_line(7, "recognition", "300 generator outputs certified, cycle rejected, 5x6 accepted")
 

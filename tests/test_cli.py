@@ -21,7 +21,7 @@ from votelp import (
     serialize_profile,
 )
 
-from helpers import profile_texts
+from helpers import profile_texts, small_elections
 
 E1_TEXT = "3\na b c\n1: a > b > c\n1: b > a > c\n1: c > b > a\n"
 E3_TEXT = "3\na b c\n2: c > a > b\n1: b > a > c\n"
@@ -175,6 +175,40 @@ class TestYoungCommand:
 
     def test_unknown_candidate(self, e1_file):
         run_cli("young", "--candidate", "z", "--input", e1_file, expect=2)
+
+
+class TestEverySubcommand:
+    @given(small_elections(), st.data())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_every_subcommand_exits_0_or_2(self, tmp_path_factory, case, data):
+        # young's formulation gap exits 3 under --strict, so young runs without it
+        election, format = case
+        path = tmp_path_factory.getbasetemp() / "every.prof"
+        path.write_text(serialize_profile(election))
+        k = str(data.draw(st.integers(1, election.m)))
+        audited = ("--input", str(path), "--format", format, "--audit")
+        if format == "approval":
+            commands = [
+                ("solve", "--rule", "pav", "--k", k, *audited, "--strict"),
+                ("egal", "--rule", "pav", "--k", k, *audited, "--strict"),
+                ("recognize", "--input", str(path), "--format", format),
+            ]
+        else:
+            candidate = data.draw(st.sampled_from(election.alternatives))
+            commands = [
+                ("solve", "--rule", "cc", "--k", k, *audited, "--strict"),
+                ("solve", "--rule", "owa", "--k", k, *audited, "--strict"),
+                ("egal", "--rule", "cc", "--k", k, *audited, "--strict"),
+                ("young", "--candidate", candidate, *audited),
+                ("recognize", "--input", str(path)),
+                ("matrix", "sp", "--input", str(path)),
+                ("matrix", "sc", "--input", str(path)),
+            ]
+        for argv in commands:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                status = votelp.cli.main(list(argv))
+            assert status in (0, 2), (argv, out.getvalue(), err.getvalue())
 
 
 class TestRecognizeCommand:

@@ -16,14 +16,12 @@ from votelp import (
     RuleSpec,
     ScoringVector,
     brute_force_committee,
-    build_ballot_matrix,
     build_sc_matrix,
     build_sp_matrix,
     cc_ip,
     committee_submatrix,
     committee_value,
     constraint_matrix,
-    dedup_rows,
     egalitarian_feasibility_ip,
     egalitarian_levels,
     egalitarian_solve,
@@ -370,18 +368,19 @@ class TestConstraintStructure:
     def test_cc_rows_reproduce_segment_matrix(self):
         profile, _ = generate_single_peaked(5, 4, 99)
         inst = cc_ip(profile, ScoringVector.borda(5), 2)
-        sub = committee_submatrix(inst)
-        msp = dedup_rows(build_sp_matrix(profile))
-        assert sub.entries == msp.entries
-        with_card = committee_submatrix(inst, include_cardinality=True)
-        assert with_card.entries[0] == (1,) * profile.m
+        # the cardinality row, then the distinct segment rows in first-seen order
+        expected = ((1,) * profile.m,) + tuple(dict.fromkeys(build_sp_matrix(profile).entries))
+        assert committee_submatrix(inst).entries == expected
         for k in (2, 3):
             inst = owa_ip(profile, ScoringVector.borda(5), OwaVector.harmonic(k), k)
-            assert committee_submatrix(inst).entries == msp.entries
+            assert committee_submatrix(inst).entries == expected
             assert _slot_counts(inst) == {k}
         ap, _ = generate_candidate_interval(5, 6, 99)
+        # the cardinality row, then the distinct ballots over a b c d e:
+        # {a,b,c,e} (two voters), {a,b,c}, {e}, {b,c}, {a,b,c,d,e}
         inst = pav_ip(ap, OwaVector.harmonic(2), 2)
-        assert committee_submatrix(inst).entries == dedup_rows(build_ballot_matrix(ap)).entries
+        rows = ["".join(map(str, row)) for row in committee_submatrix(inst).entries]
+        assert rows == ["11111", "11101", "11100", "00001", "01100", "11111"]
         assert _slot_counts(inst) == {2}
 
     def test_egalitarian_rows_are_segments_and_ballots(self):
@@ -441,27 +440,24 @@ class TestConstraintStructure:
             assert msc_rows[label.replace(":redundant", "")] == row
 
     def test_structured_instances_are_tu(self):
-        # reduced committee matrices plus the cardinality row, at desk scale
+        # committee columns with the cardinality row, at desk scale
         for seed in range(5):
             profile, _ = generate_single_peaked(4, 3, 400 + seed)
             inst = cc_ip(profile, ScoringVector.borda(4), 2)
-            reduced = dedup_rows(committee_submatrix(inst, include_cardinality=True))
-            assert is_totally_unimodular(reduced).is_tu
+            assert is_totally_unimodular(committee_submatrix(inst)).is_tu
             ap, _ = generate_candidate_interval(4, 4, 500 + seed)
             pinst = pav_ip(ap, OwaVector.harmonic(2), 2)
-            reduced = dedup_rows(committee_submatrix(pinst, include_cardinality=True))
-            assert is_totally_unimodular(reduced).is_tu
+            assert is_totally_unimodular(committee_submatrix(pinst)).is_tu
             sc, _ = generate_single_crossing(4, 4, 600 + seed)
             yinst = young_ip(sc, sc.alternatives[0])
-            reduced = dedup_rows(committee_submatrix(yinst))
-            assert is_totally_unimodular(reduced).is_tu
+            assert is_totally_unimodular(committee_submatrix(yinst)).is_tu
 
     def test_full_constraint_matrix_tu_on_tiny_instances(self):
         # whole coefficient matrices, point columns included, <= 16 rows
         profile, _ = generate_single_peaked(3, 4, 7)
         inst = cc_ip(profile, ScoringVector.borda(3), 2)
         full = constraint_matrix(inst)
-        assert full.num_rows == len(dedup_rows(build_sp_matrix(profile)).entries) + 1 == 7 <= 16
+        assert full.num_rows == 1 + len(set(build_sp_matrix(profile).entries)) == 7 <= 16
         assert is_totally_unimodular(full).is_tu
 
         inst = owa_ip(profile, ScoringVector.borda(3), OwaVector.harmonic(2), 2)
@@ -470,7 +466,7 @@ class TestConstraintStructure:
         ap, _ = generate_candidate_interval(5, 10, 8)
         inst = pav_ip(ap, OwaVector.harmonic(2), 2)
         full = constraint_matrix(inst)
-        assert full.num_rows == len(dedup_rows(build_ballot_matrix(ap)).entries) + 1 == 9 <= 16
+        assert full.num_rows == 1 + len(set(ap.ballots)) == 9 <= 16
         assert is_totally_unimodular(full).is_tu
 
         sc, _ = generate_single_crossing(6, 9, 9)

@@ -10,12 +10,11 @@ from votelp import (
     Profile,
     ProfileFormatError,
     WeakOrder,
-    build_ballot_matrix,
     generate_candidate_interval,
     generate_random_linear,
     generate_single_crossing,
     generate_single_peaked,
-    has_c1p,
+    is_candidate_interval,
     is_single_crossing,
     is_single_peaked,
     majority_margin,
@@ -352,7 +351,7 @@ class TestGenerators:
             approval, axis = generate_candidate_interval(m, n, seed)
             for ballot in approval.ballots:
                 assert ballot and axis.is_interval(ballot)
-            assert has_c1p(build_ballot_matrix(approval)) is not None
+            assert is_candidate_interval(approval) is not None
 
     def test_determinism(self):
         assert generate_single_peaked(5, 7, 42) == generate_single_peaked(5, 7, 42)

@@ -4,6 +4,7 @@ from fractions import Fraction as rat
 
 import pytest
 
+import votelp.oracle
 from votelp import (
     OwaVector,
     RuleSpec,
@@ -89,6 +90,14 @@ class TestCondorcet:
 
     def test_unanimous_peak(self):
         assert condorcet_winner(ranked("a b c", "3: b>c>a")) == "b"
+
+    def test_counts_preferences_itself(self, monkeypatch):
+        # the program builder reads model.majority_margin; the oracle must not
+        monkeypatch.setattr(votelp.oracle, "majority_margin", lambda *a: 0, raising=False)
+        assert condorcet_winner(profile_e1()) == "b"
+        assert condorcet_winner(profile_e3()) == "c"
+        assert condorcet_winner(profile_e5()) == "b"
+        assert condorcet_winner(profile_cycle3()) is None
 
     def test_structured_odd_profiles_have_winner(self):
         for seed in range(25):

@@ -10,12 +10,11 @@ from votelp import (
     BinaryMatrix,
     Profile,
     SignedMatrix,
-    append_all_ones_row,
-    apply_column_permutation,
-    build_ballot_matrix,
+    ScoringVector,
     build_sc_matrix,
     build_sp_matrix,
-    dedup_rows,
+    cc_ip,
+    committee_submatrix,
     generate_candidate_interval,
     generate_random_linear,
     generate_single_crossing,
@@ -24,7 +23,6 @@ from votelp import (
     is_candidate_interval,
     is_single_crossing,
     is_single_peaked,
-    is_strong_c1p,
     is_totally_unimodular,
     parse_matrix,
     parse_profile,
@@ -36,6 +34,7 @@ from helpers import (
     approval,
     c1p_by_permutation_search,
     first_c1p_permutation,
+    keeps_rows_contiguous,
     profile_e1,
     profile_e3,
     profile_cycle3,
@@ -126,11 +125,8 @@ class TestPairwiseMatrix:
 
 class TestConsecutiveOnes:
     def test_paper_matrix_accepted_as_is(self):
-        assert is_strong_c1p(PAPER_MATRIX)
         perm = has_c1p(PAPER_MATRIX)
         assert perm == (0, 1, 2, 3, 4, 5)
-        gapped = BinaryMatrix(((0, 1, 1), (1, 0, 1)), ("r1", "r2"), ("c1", "c2", "c3"))
-        assert not is_strong_c1p(gapped)
 
     def test_three_cycle_segment_matrix_rejected(self):
         matrix = build_sp_matrix(profile_cycle3())
@@ -150,7 +146,7 @@ class TestConsecutiveOnes:
         matrix = random_binary_matrix(rng, 7, 6)
         perm = has_c1p(matrix)
         if perm is not None:
-            assert is_strong_c1p(apply_column_permutation(matrix, perm))
+            assert keeps_rows_contiguous(matrix, perm)
 
     def test_completeness_matches_exhaustive_search(self):
         rng = random.Random(20240831)
@@ -197,7 +193,7 @@ class TestRecognizers:
         random.Random(1500).shuffle(perm)
         shuffled = Profile(profile.alternatives, tuple(profile.voters[j] for j in perm))
         found = is_single_crossing(shuffled)
-        assert is_strong_c1p(apply_column_permutation(build_sc_matrix(shuffled), found))
+        assert keeps_rows_contiguous(build_sc_matrix(shuffled), found)
         # each group of identical voters in chain order, its indices ascending,
         # read in the direction that starts with the lower index
         chain_pos = {}
@@ -240,7 +236,7 @@ class TestRecognizers:
                 rejected += 1
             else:
                 accepted += 1
-                assert is_strong_c1p(apply_column_permutation(matrix, ordering))
+                assert keeps_rows_contiguous(matrix, ordering)
         assert accepted > 0 and rejected > 0
 
     def test_interval_axes_match_exhaustive_search(self):
@@ -260,7 +256,8 @@ class TestRecognizers:
             }[kind]()
             if kind in ("ci", "approval"):
                 fmt, recognize = "approval", is_candidate_interval
-                matrix = build_ballot_matrix(election)
+                # the extra all-ones rows of the dichotomous orders constrain no order
+                matrix = build_sp_matrix(election.to_profile())
             else:
                 fmt, recognize, matrix = "ranked", is_single_peaked, build_sp_matrix(election)
             perm = first_c1p_permutation(matrix)
@@ -311,7 +308,7 @@ class TestTotallyUnimodular:
         assert _int_det(sub) == result.witness_det
 
     def test_segment_matrix_plus_ones_row(self):
-        matrix = append_all_ones_row(build_sp_matrix(profile_e1()))
+        matrix = committee_submatrix(cc_ip(profile_e1(), ScoringVector.borda(3), 1))
         assert is_totally_unimodular(matrix).is_tu
         assert tu_by_determinant_enumeration(matrix)
 
@@ -376,7 +373,7 @@ class TestTotallyUnimodular:
                 rng.shuffle(names)
                 orders.append(">".join(names))
             profile = ranked(" ".join(sorted(names)), *orders)
-            matrix = append_all_ones_row(build_sp_matrix(profile))
+            matrix = committee_submatrix(cc_ip(profile, ScoringVector.borda(m), 1))
             assert is_totally_unimodular(matrix).is_tu
 
     def test_budget(self):
@@ -394,14 +391,6 @@ class TestTotallyUnimodular:
 
 
 class TestMatrixUtilities:
-    def test_dedup_and_ones_row(self):
-        matrix = BinaryMatrix(((1, 0), (1, 0), (0, 1)), ("a", "b", "c"), ("x", "y"))
-        deduped = dedup_rows(matrix)
-        assert deduped.entries == ((1, 0), (0, 1))
-        assert deduped.row_labels == ("a", "c")
-        extended = append_all_ones_row(deduped)
-        assert extended.entries[-1] == (1, 1)
-
     def test_text_round_trip(self):
         matrix = SignedMatrix(((1, -1, 0), (0, 1, 1)), ("r1", "r2"), ("c1", "c2", "c3"))
         text = serialize_matrix(matrix)
@@ -428,8 +417,3 @@ class TestMatrixUtilities:
         ):
             with pytest.raises(ValueError, match=named):
                 parse_matrix(text)
-
-    def test_ballot_matrix(self):
-        ap = approval("a b c", {"a", "c"}, set())
-        matrix = build_ballot_matrix(ap)
-        assert rows_as_strings(matrix) == ["101", "000"]
