@@ -184,7 +184,6 @@ class IPInstance:
 class ExtractedSolution:
     committee: frozenset | None
     deleted_voters: frozenset | None
-    objective: object
 
 
 def _binary(name: str, role: str) -> Variable:
@@ -402,7 +401,8 @@ def extract_solution(inst: IPInstance, values) -> ExtractedSolution:
     """Read a committee or deleted-voter set off an assignment.
 
     The assignment must be integral on every integrality-flagged variable;
-    committee extraction also checks the cardinality constraint.
+    committee extraction also checks the cardinality constraint.  The
+    objective value is the solver's (``LPSolution.objective``).
     """
     values = tuple(values)
     if len(values) != inst.num_vars:
@@ -410,9 +410,6 @@ def extract_solution(inst: IPInstance, values) -> ExtractedSolution:
     for idx, var in enumerate(inst.variables):
         if var.integral and values[idx].denominator != 1:
             raise ValueError(f"non-integral value for variable {var.name}")
-    objective = ZERO
-    for idx, coef in inst.objective:
-        objective += coef * values[idx]
     committee_vars = inst.variables_by_role(COMMITTEE)
     deletion_vars = inst.variables_by_role(DELETION)
     committee = None
@@ -432,25 +429,26 @@ def extract_solution(inst: IPInstance, values) -> ExtractedSolution:
         deleted = frozenset(
             i for i, idx in enumerate(deletion_vars) if values[idx] == 1
         )
-    return ExtractedSolution(committee, deleted, objective)
+    return ExtractedSolution(committee, deleted)
 
 
 # ---------------------------------------------------------------------------
 # views of the constraint matrix
 
 
+def _coefficient_row(con: Constraint, cols) -> tuple:
+    """``con``'s coefficients on the variables ``cols``, each in {-1, 0, 1}."""
+    coefs = dict(con.coeffs)
+    row = tuple(coefs.get(j, 0) for j in cols)
+    if not all(v in (-1, 0, 1) for v in row):
+        raise ValueError(f"constraint {con.label} has coefficients outside {{-1,0,1}}")
+    return tuple(int(v) for v in row)
+
+
 def constraint_matrix(inst: IPInstance):
     """Full signed constraint matrix (rows = constraints, all variables)."""
-    entries = []
-    for con in inst.constraints:
-        row = [0] * inst.num_vars
-        for idx, coef in con.coeffs:
-            if coef not in (-1, 0, 1):
-                raise ValueError("constraint coefficients outside {-1,0,1}")
-            row[idx] = int(coef)
-        entries.append(tuple(row))
     return SignedMatrix(
-        tuple(entries),
+        tuple(_coefficient_row(con, range(inst.num_vars)) for con in inst.constraints),
         tuple(con.label for con in inst.constraints),
         tuple(v.name for v in inst.variables),
     )
@@ -463,20 +461,10 @@ def committee_submatrix(inst: IPInstance):
     columns, which is the reduction that preserves total unimodularity in
     both directions, so its TU is what makes the relaxation integral."""
     cols = inst.variables_by_role(COMMITTEE) or inst.variables_by_role(DELETION)
-    entries = []
-    labels = []
-    for con in inst.constraints:
-        coefs = dict(con.coeffs)
-        row = []
-        for idx in cols:
-            v = coefs.get(idx, ZERO)
-            if v not in (-1, 0, 1):
-                raise ValueError("committee coefficients outside {-1,0,1}")
-            row.append(abs(int(v)))
-        entries.append(tuple(row))
-        labels.append(con.label)
     return BinaryMatrix(
-        tuple(entries), tuple(labels), tuple(inst.variables[j].name for j in cols)
+        tuple(tuple(map(abs, _coefficient_row(con, cols))) for con in inst.constraints),
+        tuple(con.label for con in inst.constraints),
+        tuple(inst.variables[j].name for j in cols),
     )
 
 

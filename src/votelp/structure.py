@@ -3,15 +3,15 @@
 Builds the top-initial-segment incidence matrix (one row per voter/rank
 pair) and the pairwise-comparison matrix (one column per voter), recognizes
 the consecutive-ones property by an iterative backtracking column placement
-over sets of column indices, and tests total unimodularity with the
-Ghouila-Houri row-signing criterion at desk scale.
-Single-peaked and candidate-interval recognition are one interval-axis
-check: the same search on the top segments of the distinct orders, or on
-the distinct ballots, as the model derives them, mapped to index sets
-without building a matrix.  Each search ends in one contiguity check of its
-certificate.  Single-crossing recognition sorts the distinct orders by their
-disagreement with an end of the chain and checks contiguity over that chain
-of distinct orders, not over the voters.
+that reads only the sets through the last placed column, and tests total
+unimodularity by Ghouila-Houri row signings at desk scale, with a witness
+from the first row set that has none.  Single-peaked and candidate-interval
+recognition are one interval-axis check: the same search on the top
+segments of the distinct orders, or on the distinct ballots, mapped to
+index sets without building a matrix; each search ends in one contiguity
+check of its certificate.  Single-crossing recognition sorts the distinct
+orders by their disagreement with an end of the chain and checks
+contiguity over that chain of distinct orders, not over the voters.
 """
 
 from __future__ import annotations
@@ -105,44 +105,51 @@ def _consecutive_order(sets, ncols):
     """The lexicographically smallest order of ``range(ncols)`` in which every
     set of column indices is contiguous, or None.
 
-    Columns are placed left to right by depth-first search.  Once a set is
-    split by the current prefix (some members placed, some not), its placed
-    part must sit flush against the prefix end, so the next column is forced
-    to lie in every split set; that intersection is exactly the candidate
-    set, which makes the search complete.  Candidates are tried in ascending
-    order, so the first order found is the lexicographically smallest.  The
-    search keeps its own stack of candidate iterators (one per placed
-    column), so its depth is not bounded by the interpreter's recursion
-    limit.  Worst case is exponential, which is fine at desk scale; the
-    order is checked against every set before it is returned.
+    Columns are placed left to right by depth-first search.  A set split by
+    the prefix (some members placed, some not) has its placed part flush
+    against the prefix end, so it holds ``order[-1]`` and the next column
+    must lie in it: the candidates are the unplaced columns common to every
+    set through ``order[-1]`` not yet fully placed, which makes the search
+    complete.  With no such set every unplaced column is a candidate, and
+    the sets left to place must have an order of their own, so if that step
+    fails no order exists.  Candidates are tried in ascending order, so the
+    first order found is the smallest.  A backtrack resumes above the column
+    it takes back, so no candidate list is kept and the depth is not bounded
+    by the recursion limit.  Worst case is exponential; the order is checked
+    against every set before it is returned.
     """
     sets = set(sets)
     # sets with <2 members never constrain contiguity; full sets are always fine
     rows = [r for r in sets if 1 < len(r) < ncols]
-    order: list[int] = []
-    placed: set[int] = set()
-
-    def candidates():
-        cands = set(range(ncols)) - placed
-        for r in rows:
-            if placed & r and not r <= placed:
-                cands &= r
-        return iter(sorted(cands))
-
-    # stack[d] yields the untried candidates for position d
-    stack = []
+    through: dict = {}  # column -> indices of the rows holding it
+    for i, r in enumerate(rows):
+        for j in r:
+            through.setdefault(j, []).append(i)
+    unplaced = [len(r) for r in rows]  # per row: members not yet placed
+    order, placed = [], bytearray(ncols)
+    low, last = 0, -1  # the smallest unplaced column; the column last tried at this depth
     while len(order) < ncols:
-        if len(stack) == len(order):
-            stack.append(candidates())
-        col = next(stack[-1], None)
-        if col is None:
-            stack.pop()
-            if not order:
-                return None
-            placed.remove(order.pop())
-            continue
-        order.append(col)
-        placed.add(col)
+        split = [rows[i] for i in through.get(order[-1], ()) if unplaced[i]] if order else ()
+        col = max(last + 1, low)
+        if split:
+            common = split[0].intersection(*split[1:])
+            col = min((j for j in common if j >= col and not placed[j]), default=ncols)
+        while col < ncols and placed[col]:  # unconstrained: the next unplaced column
+            col += 1
+        if col < ncols:
+            order.append(col)
+            placed[col], last = 1, -1
+            for i in through.get(col, ()):
+                unplaced[i] -= 1
+            while low < ncols and placed[low]:
+                low += 1
+        elif split:  # no candidate left at this depth: take back the last column
+            last = order.pop()
+            placed[last], low = 0, min(low, last)
+            for i in through.get(last, ()):
+                unplaced[i] += 1
+        else:  # the sets left unplaced have no order, whatever the prefix
+            return None
     position = {col: pos for pos, col in enumerate(order)}
     for r in sets:
         spots = [position[j] for j in r]
@@ -155,7 +162,7 @@ def has_c1p(matrix: BinaryMatrix):
     """Search for a column permutation making every row's 1s contiguous:
     the lexicographically smallest one (new position -> old column index),
     or None."""
-    sets = (frozenset(j for j, v in enumerate(row) if v) for row in matrix.entries)
+    sets = (frozenset(itertools.compress(range(matrix.num_cols), row)) for row in matrix.entries)
     return _consecutive_order(sets, matrix.num_cols)
 
 
@@ -306,13 +313,13 @@ def _has_gh_signing(rows, subset, ncols) -> bool:
 
 
 def _det_witness(rows, subset, ncols):
-    """Find a square submatrix with |det| >= 2 using rows from ``subset``."""
-    for size in range(2, len(subset) + 1):
-        for rsub in itertools.combinations(subset, size):
-            for csub in itertools.combinations(range(ncols), size):
-                det = _int_det([[rows[i][j] for j in csub] for i in rsub])
-                if abs(det) >= 2:
-                    return rsub, csub, det
+    """A square submatrix with |det| >= 2 on all rows of ``subset``, the first
+    row set without a signing: every smaller one has a signing, so (Ghouila-
+    Houri) every proper row-submatrix is TU and a witness uses every row."""
+    for csub in itertools.combinations(range(ncols), len(subset)):
+        det = _int_det([[rows[i][j] for j in csub] for i in subset])
+        if abs(det) >= 2:
+            return subset, csub, det
     raise AssertionError("signing violation without a determinant witness")
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
 from hypothesis import strategies as st
 
@@ -186,6 +187,54 @@ def first_c1p_permutation(matrix):
 def c1p_by_permutation_search(matrix) -> bool:
     """Does some column permutation make every row's 1s contiguous?"""
     return first_c1p_permutation(matrix) is not None
+
+
+def cc_on_axis(profile, axis, weights, k):
+    """Independent cc oracle for a profile of linear orders single-peaked on
+    ``axis``: a left-to-right DP over the committee's members (Betzler,
+    Slinko and Uhlmann, JAIR 2013), in O(k * m^2 * groups).
+
+    Along one side of its peak a voter likes alternatives less the farther
+    they are, so its best member is the nearest member on one side of the
+    peak.  With members at axis positions i_1 < ... < i_k, voters peaking at
+    or left of i_1 take i_1, voters peaking in (i_j, i_{j+1}] take the better
+    of the two, and voters right of i_k take i_k."""
+    line = axis.ordering
+    m = len(line)
+    groups = [
+        (order, len(members), line.index(next(iter(order.indifference_classes[0]))))
+        for order, members in profile.groups
+    ]
+
+    def served(peaks, value):
+        # the score of the voters peaking in ``peaks``, each taking ``value(order)``
+        return sum(
+            (n * value(order) for order, n, peak in groups if peak in peaks), Fraction(0)
+        )
+
+    def score(order, pos):
+        return weights.at_rank(order.rank(line[pos]))
+
+    # best[b]: the most that the voters peaking at or left of b get from j
+    # members, the rightmost at b (None if fewer than j positions are free)
+    best = [served(range(b + 1), lambda o: score(o, b)) for b in range(m)]
+    for _ in range(k - 1):
+        best = [
+            max(
+                (
+                    best[a] + served(range(a + 1, b + 1), lambda o: max(score(o, a), score(o, b)))
+                    for a in range(b)
+                    if best[a] is not None
+                ),
+                default=None,
+            )
+            for b in range(m)
+        ]
+    return max(
+        best[b] + served(range(b + 1, m), lambda o: score(o, b))
+        for b in range(m)
+        if best[b] is not None
+    )
 
 
 def recount(text, factors):

@@ -209,6 +209,15 @@ class TestEverySubcommand:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 status = votelp.cli.main(list(argv))
             assert status in (0, 2), (argv, out.getvalue(), err.getvalue())
+            if argv[:2] == ("matrix", "sp") and status == 0:
+                # the segment matrix is a valid matrix file for the matrix tests
+                matrix_path = path.with_suffix(".mat")
+                matrix_path.write_text(out.getvalue())
+                for command in ("c1p", "tu"):
+                    matrix_out = io.StringIO()
+                    with contextlib.redirect_stdout(matrix_out):
+                        matrix_status = votelp.cli.main(["matrix", command, "--input", str(matrix_path)])
+                    assert matrix_status == 0, (command, out.getvalue(), matrix_out.getvalue())
 
 
 class TestRecognizeCommand:
@@ -435,6 +444,19 @@ class TestMatrixCommands:
             path.write_text(text)
             report = run_json("matrix", "tu", "--budget", "0", "--input", str(path))
             assert report["result"] == result
+
+    def test_wide_zero_row_matrix_is_answered(self, tmp_path):
+        # a width the parser can hold is searched in memory linear in the width
+        path = tmp_path / "wide.mat"
+        path.write_text("0 20000\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "votelp", "matrix", "c1p", "--input", str(path)],
+            capture_output=True,
+            text=True,
+            preexec_fn=_limit_address_space,
+        )
+        assert proc.returncode == 0, proc.stderr or proc.stdout
+        assert json.loads(proc.stdout)["permutation"] == list(range(20000))
 
     @pytest.mark.parametrize("command", ["c1p", "tu"])
     def test_wide_zero_row_matrix_exit_2(self, command, tmp_path):

@@ -284,7 +284,7 @@ class TestExtraction:
         report = solve_ip(inst)
         extracted = extract_solution(inst, report.final.values)
         assert extracted.committee == frozenset({"b", "c"})
-        assert extracted.objective == rat(7, 2)
+        assert report.final.objective == rat(7, 2)
 
     def test_fractional_committee_rejected(self):
         inst = cc_ip(profile_e1(), BORDA3, 1)
@@ -301,9 +301,9 @@ def _fixed_committee_value(inst, committee):
     for idx in inst.variables_by_role("committee"):
         bit = rat(1 if inst.variables[idx].name[len("y_"):] in committee else 0)
         fixed[idx] = (bit, bit)
-    extracted = extract_solution(inst, solve_lp(inst, bound_overrides=fixed).values)
-    assert extracted.committee == frozenset(committee)
-    return extracted.objective
+    solution = solve_lp(inst, bound_overrides=fixed)
+    assert extract_solution(inst, solution.values).committee == frozenset(committee)
+    return solution.objective
 
 
 class TestObjectiveLinkage:

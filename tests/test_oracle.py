@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction as rat
 
@@ -11,6 +12,7 @@ from votelp import (
     ScoringVector,
     brute_force_committee,
     brute_force_egalitarian,
+    cc_ip,
     committee_value,
     condorcet_winner,
     generate_single_crossing,
@@ -23,6 +25,7 @@ from votelp import (
 )
 
 from helpers import (
+    cc_on_axis,
     profile_cycle3,
     profile_e1,
     profile_e2,
@@ -213,6 +216,40 @@ class TestGeneralizations:
                 oracle = brute_force_committee(rule, profile)
             assert report.final.objective == oracle.best_value
             assert report.extracted.committee in oracle.argmax
+
+
+class TestSinglePeakedCcOracle:
+    """``cc_on_axis`` reads the generator's hidden axis, not the recognizer."""
+
+    def test_matches_brute_force(self):
+        rng = random.Random(2013)
+        for trial in range(400):
+            m = rng.randint(1, 7)
+            k = rng.randint(1, m)
+            profile, axis = generate_single_peaked(m, rng.randint(1, 8), rng.randrange(10**6))
+            if trial % 2:
+                draws = (rat(rng.randint(0, 9), rng.randint(1, 3)) for _ in range(rng.randint(1, m)))
+                w = ScoringVector(tuple(sorted(draws, reverse=True)))
+            else:
+                w = ScoringVector.borda(m)
+            expected = brute_force_committee(RuleSpec("cc", k, weights=w), profile).best_value
+            assert cc_on_axis(profile, axis, w, k) == expected, trial
+
+    def test_root_relaxation_meets_it_past_brute_force(self):
+        m, k = 27, 8  # C(27, 8) committees, more than brute force enumerates
+        assert math.comb(m, k) > votelp.oracle.MAX_COMMITTEE_SPACE
+        w = ScoringVector.borda(m)
+        rule = RuleSpec("cc", k, weights=w)
+        for seed in (1, 2):
+            profile, axis = generate_single_peaked(m, 30, seed)
+            assert profile.alternatives[-1] == "c27"
+            report = solve_ip(cc_ip(profile, w, k))
+            expected = cc_on_axis(profile, axis, w, k)
+            assert report.lp_integral
+            assert report.final.objective == expected
+            assert committee_value(rule, profile, report.extracted.committee) == expected
+        with pytest.raises(ValueError, match="too large"):
+            brute_force_committee(rule, profile)
 
 
 class TestEgalitarianOracle:

@@ -29,6 +29,7 @@ from votelp import (
     serialize_matrix,
     serialize_profile,
 )
+from votelp.structure import _consecutive_order
 
 from helpers import (
     approval,
@@ -153,10 +154,32 @@ class TestConsecutiveOnes:
         for _ in range(200):
             matrix = random_binary_matrix(rng, 7, 6)
             assert has_c1p(matrix) == first_c1p_permutation(matrix)
+        # intervals of a hidden permutation: the smallest first columns often
+        # lead nowhere, so the search has to take columns back
+        for _ in range(40):
+            ncols = rng.randint(2, 8)
+            hidden = rng.sample(range(ncols), ncols)
+            rows = []
+            for _ in range(rng.randint(1, 6)):
+                a = rng.randrange(ncols)
+                b = rng.randrange(a, ncols)
+                rows.append(tuple(int(j in hidden[a : b + 1]) for j in range(ncols)))
+            matrix = BinaryMatrix(
+                tuple(rows),
+                tuple(f"r{i}" for i in range(len(rows))),
+                tuple(f"c{j}" for j in range(ncols)),
+            )
+            assert has_c1p(matrix) == first_c1p_permutation(matrix)
+        # {0,1} and {0,2}: column 0 first strands 2, so the search resumes at 1
+        matrix = BinaryMatrix(((1, 1, 0, 0), (1, 0, 1, 0)), ("r1", "r2"), ("c1", "c2", "c3", "c4"))
+        assert has_c1p(matrix) == first_c1p_permutation(matrix) == (1, 0, 2, 3)
 
     def test_long_path_needs_no_recursion(self):
         # one placement per column: deeper than the interpreter's recursion limit
         assert has_c1p(path_matrix(1500)) == tuple(range(1500))
+        # 5000 columns through the index-set seam (the 0/1 matrix would hold 25M entries)
+        path = [frozenset((j, j + 1)) for j in range(4999)]
+        assert _consecutive_order(path, 5000) == tuple(range(5000))
 
     def test_c1p_implies_tu(self):
         rng = random.Random(77)
