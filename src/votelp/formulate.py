@@ -180,7 +180,7 @@ class IPInstance:
         return tuple(i for i, v in enumerate(self.variables) if v.role == role)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExtractedSolution:
     committee: frozenset | None
     deleted_voters: frozenset | None

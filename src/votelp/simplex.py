@@ -14,6 +14,16 @@ status names.  There is no column index: each iteration builds the entering
 column once, by scanning the rows, and the ratio test, the bound flip or the
 basis change all read that one list.
 
+The tableau runs on ``int`` where it can.  Integral bounds, right-hand sides
+and coefficients enter it as ``int``, the costs are scaled by the least
+common multiple of their denominators (a positive factor, so every reduced
+cost keeps its sign and Bland's rule its path), and every division goes
+through ``_div``, which stays in ``int`` when it is exact and falls back to
+``Fraction`` when it is not.  On a totally unimodular program with integral
+data every pivot is ±1 and the tableau builds no ``Fraction``.  The values
+handed back are the program's own bound objects or ``Fraction``s, and the
+objective is summed from the program's own coefficients.
+
 ``solve_ip`` first solves the relaxation and reports whether that alone
 produced an integral vertex; only if it did not does depth-first
 branch-and-bound start, branching on the most fractional committee or
@@ -26,14 +36,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .formulate import COMMITTEE, DELETION, ONE, ZERO, IPInstance, extract_solution
+from .formulate import COMMITTEE, DELETION, ZERO, IPInstance, extract_solution
 
 _AT_LOWER = 0
 _AT_UPPER = 1
 _BASIC = 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LPSolution:
     """Outcome of one LP solve.
 
@@ -48,7 +58,7 @@ class LPSolution:
     pivots: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SolveReport:
     """Relaxation-first IP solve: the root relaxation, whether it was already
     integral (in which case no branching happened), and the final solution."""
@@ -60,11 +70,29 @@ class SolveReport:
     extracted: object | None
 
 
+def _exact(x):
+    """``x`` as an ``int`` when it is integral, else unchanged."""
+    return x if x is None or x.denominator != 1 else x.numerator
+
+
+def _div(a, b):
+    """Exact ``a / b``: an ``int`` when the quotient is one, else a ``Fraction``."""
+    if b == 1:
+        return a
+    if b == -1:
+        return -a
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return a / b
+
+
 class _Tableau:
     """Mutable simplex state over structural + slack + artificial variables.
 
     A nonbasic variable sits on the bound its ``stat`` names, so its value
     is read from the bounds; only basic values are stored (``bval``).
+    Entries are ``int`` or ``Fraction`` (see the module docstring).
     """
 
     def __init__(self):
@@ -119,8 +147,8 @@ class _Tableau:
         p = self.basis[r]
         self.stat[p] = leave_to
         piv = self.rows[r].pop(q)
-        new_row = {j: v / piv for j, v in self.rows[r].items()}
-        new_row[p] = ONE / piv
+        new_row = {j: _div(v, piv) for j, v in self.rows[r].items()}
+        new_row[p] = _div(1, piv)
         self.rows[r] = new_row
         self.basis[r] = q
         self.stat[q] = _BASIC
@@ -142,7 +170,7 @@ class _Tableau:
         if dq:
             for j, v in new_row.items():
                 d[j] -= dq * v
-        d[q] = ZERO
+        d[q] = 0
         self.pivots += 1
 
     def bound_flip(self, q: int, direction: int, span, column: list) -> None:
@@ -160,7 +188,7 @@ class _Tableau:
                 for j, v in row.items():
                     d[j] -= cb * v
         for b in self.basis:
-            d[b] = ZERO
+            d[b] = 0
         self.d = d
 
     def optimize(self, max_iter: int) -> str:
@@ -196,13 +224,13 @@ class _Tableau:
                     bound = self.lower[b]
                     if bound is None:
                         continue
-                    t = (self.bval[i] - bound) / (-rate)
+                    t = _div(self.bval[i] - bound, -rate)
                     leave = _AT_LOWER
                 else:
                     bound = self.upper[b]
                     if bound is None:
                         continue
-                    t = (bound - self.bval[i]) / rate
+                    t = _div(bound - self.bval[i], rate)
                     leave = _AT_UPPER
                 if (
                     best_t is None
@@ -249,6 +277,10 @@ def solve_lp(inst: IPInstance, bound_overrides=None) -> LPSolution:
     costs_struct = [ZERO] * nstruct
     for idx, coef in inst.objective:
         costs_struct[idx] += coef if maximize else -coef
+    # integral costs; a positive factor keeps every reduced cost's sign, so
+    # Bland's rule takes the same path
+    scale = math.lcm(*(c.denominator for c in costs_struct))
+    costs_struct = [c.numerator * (scale // c.denominator) for c in costs_struct]
 
     # presolve: constraints with no coefficients are checked and dropped
     kept = []
@@ -257,17 +289,17 @@ def solve_lp(inst: IPInstance, bound_overrides=None) -> LPSolution:
         for idx, coef in con.coeffs:
             if coef:
                 coeffs[idx] = coeffs.get(idx, ZERO) + coef
-        coeffs = {j: v for j, v in coeffs.items() if v}
+        coeffs = {j: _exact(v) for j, v in coeffs.items() if v}
         if not coeffs:
             if not _holds(ZERO, con.sense, con.rhs):
                 return LPSolution("infeasible", (), None, 0)
             continue
-        kept.append((coeffs, con.sense, con.rhs))
+        kept.append((coeffs, con.sense, _exact(con.rhs)))
 
     tab = _Tableau()
     for lo, up in bounds:
-        tab.add_var(lo, up)
-    slack_bounds = {"<=": (ZERO, None), ">=": (None, ZERO), "=": (ZERO, ZERO)}
+        tab.add_var(_exact(lo), _exact(up))
+    slack_bounds = {"<=": (0, None), ">=": (None, 0), "=": (0, 0)}
     slack_of_row = []
     for coeffs, sense, rhs in kept:
         lo, up = slack_bounds[sense]
@@ -288,58 +320,59 @@ def solve_lp(inst: IPInstance, bound_overrides=None) -> LPSolution:
             # basic variable keeps an implicit +1 coefficient
             rest = up if up is not None and value > up else lo
             tab.stat[slack] = _AT_LOWER if rest == lo else _AT_UPPER
-            art = tab.add_var(ZERO, None)
+            art = tab.add_var(0, None)
             artificials.append(art)
             if value - rest > 0:
                 row = dict(coeffs)
-                row[slack] = ONE
+                row[slack] = 1
                 tab.add_row(row, art, value - rest)
             else:
                 row = {j: -v for j, v in coeffs.items()}
-                row[slack] = -ONE
+                row[slack] = -1
                 tab.add_row(row, art, rest - value)
 
     max_iter = 20000 + 200 * (len(kept) + len(tab.lower))
 
     if artificials:
-        phase1 = [ZERO] * len(tab.lower)
+        phase1 = [0] * len(tab.lower)
         for a in artificials:
-            phase1[a] = -ONE
+            phase1[a] = -1
         tab.recompute_costs(phase1)
         status = tab.optimize(max_iter)
         if status != "optimal":  # pragma: no cover - phase 1 is bounded
             raise AssertionError("phase 1 cannot be unbounded")
         # nonbasic artificials sit at their lower bound 0
         art_set = set(artificials)
-        residue = sum((v for v, b in zip(tab.bval, tab.basis) if b in art_set), ZERO)
+        residue = sum(v for v, b in zip(tab.bval, tab.basis) if b in art_set)
         if residue > 0:
             return LPSolution("infeasible", (), None, tab.pivots)
         for a in artificials:
-            tab.upper[a] = ZERO
+            tab.upper[a] = 0
         for r in range(len(tab.rows)):
             if tab.basis[r] in art_set:
                 pivot_col = min((j for j in tab.rows[r] if j not in art_set), default=-1)
                 if pivot_col >= 0:
-                    tab.change_basis(r, pivot_col, ZERO, _AT_LOWER, tab.column(pivot_col))
+                    tab.change_basis(r, pivot_col, 0, _AT_LOWER, tab.column(pivot_col))
                 # else: redundant row; the artificial stays pinned at 0
 
-    costs = costs_struct + [ZERO] * (len(tab.lower) - nstruct)
+    costs = costs_struct + [0] * (len(tab.lower) - nstruct)
     tab.recompute_costs(costs)
     status = tab.optimize(max_iter)
     if status == "unbounded":
         return LPSolution("unbounded", (), None, tab.pivots)
 
-    # a basic value sitting on a bound reuses the bound's object, so a 0/1
-    # vertex holds no rationals of its own
+    # a value sitting on a bound is the program's own bound object, so a 0/1
+    # vertex holds no rationals of its own; any other value is a Fraction
     values = [None] * nstruct
     for r, b in enumerate(tab.basis):
         if b < nstruct:
             value = tab.bval[r]
             lo, up = bounds[b]
-            values[b] = lo if value == lo else up if value == up else value
+            values[b] = lo if value == lo else up if value == up else Fraction(value)
     for j in range(nstruct):
         if values[j] is None:
-            values[j] = tab.nonbasic_value(j)
+            lo, up = bounds[j]
+            values[j] = up if tab.stat[j] == _AT_UPPER else lo
     objective = ZERO
     for idx, coef in inst.objective:
         objective += coef * values[idx]

@@ -116,11 +116,10 @@ def _consecutive_order(sets, ncols):
     first order found is the smallest.  A backtrack resumes above the column
     it takes back, so no candidate list is kept and the depth is not bounded
     by the recursion limit.  Worst case is exponential; the order is checked
-    against every set before it is returned.
+    against every set that constrains it before it is returned.
     """
-    sets = set(sets)
     # sets with <2 members never constrain contiguity; full sets are always fine
-    rows = [r for r in sets if 1 < len(r) < ncols]
+    rows = [r for r in set(sets) if 1 < len(r) < ncols]
     through: dict = {}  # column -> indices of the rows holding it
     for i, r in enumerate(rows):
         for j in r:
@@ -150,10 +149,10 @@ def _consecutive_order(sets, ncols):
                 unplaced[i] += 1
         else:  # the sets left unplaced have no order, whatever the prefix
             return None
-    position = {col: pos for pos, col in enumerate(order)}
-    for r in sets:
+    position = {col: pos for pos, col in enumerate(order) if col in through}
+    for r in rows:
         spots = [position[j] for j in r]
-        if spots and max(spots) - min(spots) + 1 != len(spots):  # pragma: no cover
+        if max(spots) - min(spots) + 1 != len(spots):  # pragma: no cover
             raise AssertionError("contiguity search produced an invalid order")
     return tuple(order)
 

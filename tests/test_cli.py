@@ -1,6 +1,8 @@
 import contextlib
+import hashlib
 import io
 import json
+import os
 import resource
 import subprocess
 import sys
@@ -385,6 +387,24 @@ class TestGenCommand:
         run_json("gen", "--kind", "sc", "--m", "4", "--n", "6", "--seed", "2", "--out", str(out))
         report = run_json("recognize", "--input", str(out))
         assert report["single_crossing"] is not None
+
+
+class TestDigest:
+    @pytest.mark.parametrize("text", ["", E1_TEXT, "2\nä 候\n1: ä > 候\n"])
+    def test_matches_hashlib(self, text):
+        assert votelp.cli._digest(text) == hashlib.sha256(text.encode()).hexdigest()
+
+    def test_openssl_stays_unloaded(self):
+        # -S: no site hook may import hashlib first
+        src = os.path.dirname(os.path.dirname(votelp.cli.__file__))
+        code = "import sys, votelp.cli; votelp.cli._digest('x'); print('_hashlib' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
 class TestMatrixCommands:

@@ -120,6 +120,60 @@ class TestBasicLPs:
         assert sol.status == "infeasible"
 
 
+class TestIntegerTableau:
+    """The tableau computes in ``int`` where it can; what comes back is the
+    program's own bound objects and ``Fraction``s, with exact values."""
+
+    def test_odd_cycle_falls_back_to_fractions(self):
+        # every pair sums to at most 1: the vertex needs a pivot on 2
+        pairs = ((0, 1), (0, 2), (1, 2))
+        inst = lp(
+            [var("x1"), var("x2"), var("x3")],
+            "max",
+            [(0, ONE), (1, ONE), (2, ONE)],
+            [Constraint(((i, ONE), (j, ONE)), "<=", ONE, f"p{i}{j}") for i, j in pairs],
+        )
+        sol = solve_lp(inst)
+        assert sol.values == (rat(1, 2), rat(1, 2), rat(1, 2))
+        assert all(type(v) is rat for v in sol.values)
+        assert sol.objective == rat(3, 2)
+
+    def test_cost_denominators_are_scaled_out(self):
+        inst = lp(
+            [var("x"), var("y")],
+            "max",
+            [(0, rat(1, 2)), (1, rat(2, 3))],
+            [Constraint(((0, ONE), (1, ONE)), "<=", ONE, "cap")],
+        )
+        sol = solve_lp(inst)
+        assert sol.values == (ZERO, ONE)
+        assert sol.objective == rat(2, 3)
+
+    def test_non_unit_coefficients_and_fractional_data(self):
+        x, y = var("x", 0, rat(5, 2)), var("y", 0, rat(5, 2))
+        inst = lp(
+            [x, y],
+            "max",
+            [(0, rat(2)), (1, ONE)],
+            [
+                Constraint(((0, rat(2)), (1, rat(3))), "<=", rat(7), "budget"),
+                Constraint(((0, ONE), (1, ONE)), ">=", rat(5, 2), "demand"),
+            ],
+        )
+        sol = solve_lp(inst)
+        assert sol.values == (rat(5, 2), rat(2, 3))
+        assert sol.values[0] is x.upper
+        assert type(sol.values[1]) is rat
+        assert sol.objective == rat(17, 3)
+
+    def test_zero_one_vertex_reuses_the_bound_objects(self):
+        inst = cc_ip(profile_e1(), ScoringVector.borda(3), 1)
+        sol = solve_lp(inst)
+        assert is_integral(sol, inst)
+        for value, variable in zip(sol.values, inst.variables):
+            assert value is variable.lower or value is variable.upper
+
+
 def enumerate_best_vertex(inst):
     """Independent LP oracle: enumerate candidate tight sets, solve each
     square system exactly, keep the best feasible point."""

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -180,6 +181,17 @@ class TestConsecutiveOnes:
         # 5000 columns through the index-set seam (the 0/1 matrix would hold 25M entries)
         path = [frozenset((j, j + 1)) for j in range(4999)]
         assert _consecutive_order(path, 5000) == tuple(range(5000))
+
+    def test_unconstrained_columns_get_no_position_map(self):
+        # the order itself takes about 47 MB; a position per column took 118 MB
+        tracemalloc.start()
+        try:
+            order = _consecutive_order((), 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert order == tuple(range(10**6))
+        assert peak < 80 * 2**20
 
     def test_c1p_implies_tu(self):
         rng = random.Random(77)
