@@ -4,8 +4,9 @@ Builds integer programs for approval-credit, best-representative and
 ordered-weighted-average committee rules plus voter-deletion scores, solves
 them with an exact rational simplex (relaxation first, branch-and-bound
 only when needed), and reports when the relaxation alone was integral -
-which it provably is on single-peaked / single-crossing inputs because the
-constraint matrices become totally unimodular.  Structure tests
+which it provably is on single-peaked and interval inputs, whose matrices
+are totally unimodular (deletion scores on single-crossing inputs are
+integral as measured, not proved).  Structure tests
 (consecutive ones, total unimodularity) and brute-force oracles round out
 the toolkit.
 """

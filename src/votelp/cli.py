@@ -159,10 +159,6 @@ def _load_election(args, *, need: str):
 
 
 _ORACLE_DISAGREES = "solver disagrees with the brute-force oracle"
-_FORMULATION_GAP = (
-    "formulation gap: deletions implied by the program do not "
-    "produce a subprofile with the candidate as strict Condorcet winner"
-)
 
 
 def _rule(args, election) -> RuleSpec:
@@ -198,13 +194,13 @@ def _header(command: str, text: str, args, election, **fields) -> dict:
     }
 
 
-def _finish(report: dict, started_ns: int, args, audit: dict | None, warning: str) -> int:
+def _finish(report: dict, started_ns: int, args, audit: dict | None) -> int:
     """Attach the audit and its mismatch warning, emit the report, pick the exit status."""
     mismatch = audit is not None and not audit["match"]
     if audit is not None:
         report["audit"] = audit
     if mismatch:
-        report["warnings"].append(warning)
+        report["warnings"].append(_ORACLE_DISAGREES)
     _emit(report, started_ns)
     return EXIT_MISMATCH if (mismatch and args.strict) else EXIT_OK
 
@@ -291,7 +287,7 @@ def _cmd_solve(args) -> int:
                 and solved in best.argmax
             ),
         }
-    return _finish(report, started, args, audit, _ORACLE_DISAGREES)
+    return _finish(report, started, args, audit)
 
 
 def _cmd_young(args) -> int:
@@ -316,7 +312,7 @@ def _cmd_young(args) -> int:
             "oracle_witness": sorted(witness),
             "match": score == oracle_score,
         }
-    return _finish(report, started, args, audit, _FORMULATION_GAP)
+    return _finish(report, started, args, audit)
 
 
 def _cmd_egal(args) -> int:
@@ -351,7 +347,7 @@ def _cmd_egal(args) -> int:
             "oracle_value": str(best.best_value),
             "match": best.best_value == result.best_level and result.committee in best.argmax,
         }
-    return _finish(report, started, args, audit, _ORACLE_DISAGREES)
+    return _finish(report, started, args, audit)
 
 
 def _cmd_matrix(args) -> int:

@@ -128,6 +128,7 @@ class Variable:
     lower: object
     upper: object  # None means unbounded above
     integral: bool
+    voters: tuple = ()  # a deletion variable's voters, lowest index first
 
 
 @dataclass(frozen=True)
@@ -285,33 +286,34 @@ def owa_ip(profile: Profile, w: ScoringVector, alpha: OwaVector, k: int) -> IPIn
 
 
 def young_ip(profile: Profile, a: str) -> IPInstance:
-    """Minimum voter deletions driving every pairwise margin against ``a``
-    below zero, as printed in the source formulation.
+    """Fewest voter deletions leaving ``a`` the strict Condorcet winner.
 
-    The constraint for challenger b sums deletion variables only over voters
-    with b above a; rows whose right-hand side is not positive are emitted
-    anyway (labelled redundant) so the coefficient matrix stays exactly the
-    pair-indexed block of the pairwise-comparison matrix.  Note this
-    formulation can overstate what deletions achieve; reports surface the
-    gap against the brute-force score.
+    One integer variable per distinct order (``profile.groups``), named after
+    its first voter, counts that group's deleted voters.  Each challenger b
+    gets the signed row sum_{b>a} d - sum_{a>b} d >= margin(b, a) + 1, and a
+    last row keeps at least one voter.  The matrix is not totally unimodular,
+    even on single-crossing profiles: integral roots are measured, not proved.
     """
     if a not in profile.alternatives:
         raise ValueError(f"unknown alternative {a!r}")
-    variables = [_binary(f"d_v{i + 1}", DELETION) for i in range(profile.n)]
-    objective = [(i, ONE) for i in range(profile.n)]
+    variables = [
+        Variable(f"d_v{members[0] + 1}", DELETION, ZERO, Fraction(len(members)), True, members)
+        for _, members in profile.groups
+    ]
     constraints = []
     for b in profile.alternatives:
         if b == a:
             continue
-        rhs = Fraction(majority_margin(profile, b, a) + 1)
         coeffs = tuple(
-            (i, ONE) for i, v in enumerate(profile.voters) if v.prefers(b, a)
+            (g, ONE if order.prefers(b, a) else -ONE)
+            for g, (order, _) in enumerate(profile.groups)
+            if order.rank(a) != order.rank(b)
         )
-        label = f"{b}>{a}"
-        if rhs <= 0:
-            label += ":redundant"
-        constraints.append(Constraint(coeffs, ">=", rhs, label))
-    return IPInstance(tuple(variables), "min", tuple(objective), tuple(constraints))
+        rhs = Fraction(majority_margin(profile, b, a) + 1)
+        constraints.append(Constraint(coeffs, ">=", rhs, f"{b}>{a}"))
+    everyone = tuple((g, ONE) for g in range(len(variables)))
+    constraints.append(Constraint(everyone, "<=", Fraction(profile.n - 1), "keep"))
+    return IPInstance(tuple(variables), "min", everyone, tuple(constraints))
 
 
 def egalitarian_feasibility_ip(election, rule: RuleSpec, level) -> IPInstance:
@@ -401,7 +403,8 @@ def extract_solution(inst: IPInstance, values) -> ExtractedSolution:
     """Read a committee or deleted-voter set off an assignment.
 
     The assignment must be integral on every integrality-flagged variable;
-    committee extraction also checks the cardinality constraint.  The
+    committee extraction also checks the cardinality constraint, and a
+    deletion count c deletes its group's c lowest voter indices.  The
     objective value is the solver's (``LPSolution.objective``).
     """
     values = tuple(values)
@@ -427,7 +430,7 @@ def extract_solution(inst: IPInstance, values) -> ExtractedSolution:
             raise ValueError(f"extracted committee has size {len(committee)}, expected {k}")
     if deletion_vars:
         deleted = frozenset(
-            i for i, idx in enumerate(deletion_vars) if values[idx] == 1
+            i for idx in deletion_vars for i in inst.variables[idx].voters[: int(values[idx])]
         )
     return ExtractedSolution(committee, deleted)
 
@@ -455,12 +458,12 @@ def constraint_matrix(inst: IPInstance):
 
 
 def committee_submatrix(inst: IPInstance):
-    """|coefficients| of committee/deletion columns, one row per constraint
-    in program order: for cc/owa/pav the cardinality row, then one row per
+    """|coefficients| of the committee columns, one row per constraint in
+    program order: for cc/owa/pav the cardinality row, then one row per
     distinct top segment or ballot.  This strips the point-variable unit
     columns, which is the reduction that preserves total unimodularity in
     both directions, so its TU is what makes the relaxation integral."""
-    cols = inst.variables_by_role(COMMITTEE) or inst.variables_by_role(DELETION)
+    cols = inst.variables_by_role(COMMITTEE)
     return BinaryMatrix(
         tuple(tuple(map(abs, _coefficient_row(con, cols))) for con in inst.constraints),
         tuple(con.label for con in inst.constraints),

@@ -115,8 +115,8 @@ def test_criterion_1_sp_ci_relaxation_integrality():
 
 def test_criterion_2_sc_young_integrality(tmp_path):
     """Single-crossing inputs: deletion-score relaxations are integral, the
-    program optimum never claims more deletions than the exhaustive score
-    allows, and the worked gap fixture is reported with its warning."""
+    program scores exactly what the exhaustive search scores, and the E3
+    fixture, where no subprofile works, is an infeasible program scored 0."""
     integral = feasible = 0
     for trial in range(100):
         rng = random.Random(300_000 + trial)
@@ -130,7 +130,7 @@ def test_criterion_2_sc_young_integrality(tmp_path):
             feasible += 1
             assert report.lp_integral, f"young trial {trial} fractional relaxation"
             integral += 1
-            assert report.final.objective <= n - score
+            assert report.final.objective == n - score, f"young trial {trial}"
         else:
             assert score == 0  # infeasible program only when no subprofile works
     assert integral == feasible
@@ -139,19 +139,18 @@ def test_criterion_2_sc_young_integrality(tmp_path):
     path.write_text(E3_TEXT)
     proc = subprocess.run(
         [sys.executable, "-m", "votelp", "young", "--candidate", "a",
-         "--input", str(path), "--audit"],
+         "--input", str(path), "--audit", "--strict"],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0
     cli_report = json.loads(proc.stdout)
-    assert cli_report["solve"]["objective"] == "2"
-    assert cli_report["audit"]["oracle_score"] == 0
-    assert cli_report["audit"]["match"] is False
-    assert any("formulation gap" in w for w in cli_report["warnings"])
+    assert cli_report["solve"]["status"] == "infeasible"
+    assert cli_report["young_score"] == cli_report["audit"]["oracle_score"] == 0
+    assert cli_report["audit"]["match"] is True
     report_line(
         2,
         "SC deletion-score integrality",
-        f"{feasible}/100 feasible all integral, E3 gap 2 vs 0 with warning",
+        f"{feasible}/100 feasible all integral and exact, E3 infeasible with score 0",
     )
 
 
@@ -234,8 +233,8 @@ def test_criterion_4_tu_structure():
             profile, _ = generate_single_peaked(m, n, 500_000 + trial)
             inst = owa_ip(profile, ScoringVector.borda(m), OwaVector.constant(k), k)
         else:
-            profile, _ = generate_single_crossing(m, n, 500_000 + trial)
-            inst = young_ip(profile, profile.alternatives[rng.randrange(m)])
+            approval, _ = generate_candidate_interval(m, n, 500_000 + trial)
+            inst = pav_ip(approval, OwaVector.constant(k), k)
         reduced = committee_submatrix(inst)
         assert reduced.num_rows <= 16
         assert is_totally_unimodular(reduced).is_tu, f"trial {trial}"

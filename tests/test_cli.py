@@ -146,19 +146,14 @@ class TestSolveCommand:
 
 
 class TestYoungCommand:
-    def test_e3_formulation_gap(self, e3_file):
-        report = run_json("young", "--candidate", "a", "--input", e3_file, "--audit")
-        assert report["solve"]["objective"] == "2"
-        assert report["young_score"] == 1
-        assert report["audit"]["oracle_score"] == 0
-        assert report["audit"]["match"] is False
-        assert any("formulation gap" in w for w in report["warnings"])
-
-    def test_strict_mismatch_exit_code(self, e3_file):
-        run_cli(
-            "young", "--candidate", "a", "--input", e3_file,
-            "--audit", "--strict", expect=3,
+    def test_e3_is_infeasible_and_scores_zero(self, e3_file):
+        report = run_json(
+            "young", "--candidate", "a", "--input", e3_file, "--audit", "--strict"
         )
+        assert report["solve"]["status"] == "infeasible"
+        assert report["young_score"] == 0
+        assert report["audit"]["oracle_score"] == 0
+        assert report["audit"]["match"] is True
 
     def test_condorcet_winner_scores_full_profile(self, e1_file):
         report = run_json("young", "--candidate", "b", "--input", e1_file, "--audit")
@@ -183,7 +178,6 @@ class TestEverySubcommand:
     @given(small_elections(), st.data())
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_every_subcommand_exits_0_or_2(self, tmp_path_factory, case, data):
-        # young's formulation gap exits 3 under --strict, so young runs without it
         election, format = case
         path = tmp_path_factory.getbasetemp() / "every.prof"
         path.write_text(serialize_profile(election))
@@ -201,7 +195,7 @@ class TestEverySubcommand:
                 ("solve", "--rule", "cc", "--k", k, *audited, "--strict"),
                 ("solve", "--rule", "owa", "--k", k, *audited, "--strict"),
                 ("egal", "--rule", "cc", "--k", k, *audited, "--strict"),
-                ("young", "--candidate", candidate, *audited),
+                ("young", "--candidate", candidate, *audited, "--strict"),
                 ("recognize", "--input", str(path)),
                 ("matrix", "sp", "--input", str(path)),
                 ("matrix", "sc", "--input", str(path)),
@@ -293,14 +287,18 @@ class TestAuditMismatch:
         [
             (("solve", "--rule", "cc", "--k", "1"), "brute_force_committee"),
             (("egal", "--rule", "cc", "--k", "1"), "brute_force_egalitarian"),
+            (("young", "--candidate", "b"), "young_score_bruteforce"),
         ],
     )
     def test_oracle_disagreement(self, argv, oracle_name, strict, e1_file, monkeypatch, capsys):
         real = getattr(votelp.cli.oracle, oracle_name)
 
-        def shifted(rule, election):
-            best = real(rule, election)
-            return OracleResult(best.best_value + 1, best.argmax)
+        def shifted(*args):
+            best = real(*args)
+            if isinstance(best, OracleResult):
+                return OracleResult(best.best_value + 1, best.argmax)
+            score, witness = best
+            return score + 1, witness
 
         monkeypatch.setattr(votelp.cli.oracle, oracle_name, shifted)
         flags = ["--audit", "--strict"] if strict else ["--audit"]
@@ -512,8 +510,8 @@ class TestBenchCommand:
             "7,13,2,cc,true,36,0",
         ],
         "sc": [
-            "3,19,2,young,true,20,0",
-            "4,4,3,young,true,4,0",
+            "3,19,2,young,true,4,0",
+            "4,4,3,young,true,3,0",
             "8,15,3,young,true,0,0",
             "7,13,2,young,true,0,0",
         ],

@@ -21,6 +21,7 @@ from votelp import (
     cc_ip,
     committee_submatrix,
     committee_value,
+    condorcet_winner,
     constraint_matrix,
     egalitarian_feasibility_ip,
     egalitarian_levels,
@@ -40,6 +41,8 @@ from votelp import (
     solve_ip,
     solve_lp,
     young_ip,
+    young_score_bruteforce,
+    young_score_median,
 )
 from votelp.model import WeakOrder, default_alternative_names
 
@@ -209,7 +212,6 @@ class TestOwaInstance:
 class TestYoungInstance:
     def test_e4_all_rows_redundant(self):
         inst = young_ip(profile_e4(), "a")
-        assert all(c.label.endswith(":redundant") for c in inst.constraints)
         report = solve_ip(inst)
         assert report.final.objective == 0
         assert report.extracted.deleted_voters == frozenset()
@@ -218,16 +220,58 @@ class TestYoungInstance:
         report = solve_ip(young_ip(profile_e5(), "a"))
         assert report.final.objective == rat(4)
 
-    def test_e3_formulation_gap(self):
-        from votelp import young_score_bruteforce
+    def test_counts_expand_to_lowest_voter_indices(self):
+        # b-over-a voters 0, 3, 4, 5 share one variable; three must go
+        profile = ranked("a b", "b>a", "a>b", "a>b", "b>a", "b>a", "b>a")
+        inst = young_ip(profile, "a")
+        assert [v.name for v in inst.variables] == ["d_v1", "d_v2"]
+        report = solve_ip(inst)
+        assert report.final.values == (3, 0)
+        assert report.extracted.deleted_voters == frozenset({0, 3, 4})
 
+    def test_e3_is_infeasible(self):
         report = solve_ip(young_ip(profile_e3(), "a"))
-        assert report.final.objective == rat(2)
-        assert report.extracted.deleted_voters == frozenset({0, 1})
-        score, witness = young_score_bruteforce(profile_e3(), "a")
-        assert score == 0 and witness == frozenset()
-        # the program says "delete 2", the exhaustive search says "impossible"
-        assert profile_e3().n - 2 != score
+        assert report.final.status == "infeasible"
+        assert young_score_bruteforce(profile_e3(), "a") == (0, frozenset())
+
+    def test_signed_rows_are_not_tu(self):
+        # two voters are always single-crossing, yet the rows b1>a and b2>a
+        # hold [[-1, 1], [-1, -1]]: integral roots are measured, not proved
+        profile = ranked("a b1 b2", "a>b1>b2", "b1>a>b2")
+        inst = young_ip(profile, "a")
+        result = is_totally_unimodular(constraint_matrix(inst))
+        assert result.kind == "not_tu" and abs(result.witness_det) == 2
+        score, _ = young_score_bruteforce(profile, "a")
+        assert solve_ip(inst).final.objective == profile.n - score == 1
+
+    def test_matches_median_oracle_past_brute_force(self):
+        for seed in range(40):
+            rng = random.Random(seed)
+            m, n = rng.randint(3, 6), rng.randint(30, 120)
+            profile, ordering = generate_single_crossing(m, n, 700 + seed)
+            for a in profile.alternatives:
+                report = solve_ip(young_ip(profile, a))
+                score = 0
+                if report.final.status == "optimal":
+                    score = profile.n - report.final.objective
+                assert score == young_score_median(profile, ordering, a), (seed, a)
+
+    def test_one_variable_per_distinct_order_at_scale(self):
+        profile, _ = generate_single_crossing(6, 2000, 1)
+        deleted_any = False
+        for a in profile.alternatives:
+            inst = young_ip(profile, a)
+            assert inst.num_vars == len(profile.groups) < profile.n
+            report = solve_ip(inst)
+            if report.final.status != "optimal":
+                assert not any(order.rank(a) == 1 for order, _ in profile.groups)
+                continue
+            deleted = report.extracted.deleted_voters
+            assert len(deleted) == report.final.objective
+            deleted_any |= bool(deleted)
+            kept = tuple(v for i, v in enumerate(profile.voters) if i not in deleted)
+            assert condorcet_winner(Profile(profile.alternatives, kept)) == a
+        assert deleted_any
 
     def test_infeasible_when_no_supporters_can_be_deleted(self):
         profile = ranked("a b", "3: b>a")
@@ -430,14 +474,22 @@ class TestConstraintStructure:
                     assert indices == sorted(set(indices)), con.label
 
     def test_young_rows_are_pairwise_submatrix(self):
+        # row b>a over the groups' first voters: the pairwise row b>a minus
+        # the row a>b; then the all-ones row that keeps one voter
         profile, _ = generate_single_crossing(4, 5, 17)
         a = profile.alternatives[0]
         inst = young_ip(profile, a)
-        sub = committee_submatrix(inst)
+        full = constraint_matrix(inst)
         msc = build_sc_matrix(profile)
         msc_rows = dict(zip(msc.row_labels, msc.entries))
-        for label, row in zip(sub.row_labels, sub.entries):
-            assert msc_rows[label.replace(":redundant", "")] == row
+        firsts = [members[0] for _, members in profile.groups]
+        assert full.col_labels == tuple(f"d_v{i + 1}" for i in firsts)
+        challengers = [b for b in profile.alternatives if b != a]
+        assert full.row_labels == tuple(f"{b}>{a}" for b in challengers) + ("keep",)
+        for b, row in zip(challengers, full.entries):
+            over, under = msc_rows[f"{b}>{a}"], msc_rows[f"{a}>{b}"]
+            assert row == tuple(over[i] - under[i] for i in firsts)
+        assert full.entries[-1] == (1,) * len(firsts)
 
     def test_structured_instances_are_tu(self):
         # committee columns with the cardinality row, at desk scale
@@ -448,9 +500,6 @@ class TestConstraintStructure:
             ap, _ = generate_candidate_interval(4, 4, 500 + seed)
             pinst = pav_ip(ap, OwaVector.harmonic(2), 2)
             assert is_totally_unimodular(committee_submatrix(pinst)).is_tu
-            sc, _ = generate_single_crossing(4, 4, 600 + seed)
-            yinst = young_ip(sc, sc.alternatives[0])
-            assert is_totally_unimodular(committee_submatrix(yinst)).is_tu
 
     def test_full_constraint_matrix_tu_on_tiny_instances(self):
         # whole coefficient matrices, point columns included, <= 16 rows
@@ -469,9 +518,10 @@ class TestConstraintStructure:
         assert full.num_rows == 1 + len(set(ap.ballots)) == 9 <= 16
         assert is_totally_unimodular(full).is_tu
 
+        # the signed deletion rows are not TU even on single-crossing profiles
         sc, _ = generate_single_crossing(6, 9, 9)
-        inst = young_ip(sc, sc.alternatives[2])
-        assert is_totally_unimodular(constraint_matrix(inst)).is_tu
+        result = is_totally_unimodular(constraint_matrix(young_ip(sc, sc.alternatives[2])))
+        assert result.kind == "not_tu" and abs(result.witness_det) == 2
 
 
 def _format(election):
