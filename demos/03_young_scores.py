@@ -35,7 +35,7 @@ print("deletions:", report.final.objective, " deleted voters:", sorted(report.ex
 score, witness = young_score_bruteforce(e5, "a")
 print("exhaustive score (max voters kept):", score, " witness:", sorted(witness))
 ordering = is_single_crossing(e5)
-print("median-trimming score:", young_score_median(e5, ordering, "a"))
+print("median-voter rule score:", young_score_median(e5, ordering, "a"))
 
 print()
 print("=== the deletion program on a generated single-crossing profile ===")

@@ -6,8 +6,9 @@ them with an exact rational simplex (relaxation first, branch-and-bound
 only when needed), and reports when the relaxation alone was integral -
 which it provably is on single-peaked and interval inputs, whose matrices
 are totally unimodular (deletion scores on single-crossing inputs are
-integral as measured, not proved).  Structure tests
-(consecutive ones, total unimodularity) and brute-force oracles round out
+integral as measured, not proved).  Structure tests (consecutive ones,
+total unimodularity) and independent oracles (brute force, and the
+median-voter rule for deletion scores on single-crossing inputs) round out
 the toolkit.
 """
 

@@ -4,7 +4,7 @@ Every analysis subcommand emits one JSON report on standard output (schema
 in the README); ``bench`` emits CSV and ``gen``/``matrix sp``/``matrix sc``
 emit the plain text formats.  Exit status: 0 on success, 2 on malformed
 input or contradictory parameters, 3 when ``--audit --strict`` detects a
-mismatch against the brute-force oracle, 4 on an internal failure (any other
+mismatch against the oracle, 4 on an internal failure (any other
 exception), which prints ``{"error": "<ExceptionType>: <message>"}`` on
 standard output instead of a traceback.  Rationals are serialized as
 ``p/q`` strings.  Reports are byte-identical across identical invocations
@@ -306,7 +306,13 @@ def _cmd_young(args) -> int:
     report["young_score"] = score
     audit = None
     if args.audit:
-        oracle_score, witness = oracle.young_score_bruteforce(election, args.candidate)
+        if election.n <= oracle.MAX_YOUNG_VOTERS:
+            oracle_score, witness = oracle.young_score_bruteforce(election, args.candidate)
+        elif (ordering := report["recognition"]["single_crossing"]) is None:
+            raise CliError("too many voters for brute force; the profile is not single-crossing")
+        else:  # the median-voter rule, which re-checks the ordering
+            witness = oracle.young_block_median(election, ordering, args.candidate)
+            oracle_score = oracle.young_score_median(election, ordering, args.candidate)
         audit = {
             "oracle_score": oracle_score,
             "oracle_witness": sorted(witness),

@@ -1,8 +1,9 @@
-"""Independent brute-force references for every rule the package computes.
+"""Independent references for every rule the package computes.
 
-These are deliberately naive enumerations over committees or voter subsets.
-They share no code with the optimization path, so agreement between the two
-is meaningful evidence; acceptance tests lean on them throughout.
+Most are deliberately naive enumerations over committees or voter subsets;
+Young scores on single-crossing profiles also have a median-voter rule.  None
+shares code with the optimization path, so agreement between the two is
+meaningful evidence; acceptance tests lean on them throughout.
 """
 
 from __future__ import annotations
@@ -94,10 +95,27 @@ def brute_force_egalitarian(rule: RuleSpec, election) -> OracleResult:
 def condorcet_winner(profile: Profile):
     """The alternative beating every other in pairwise majority, if any,
     counted voter by voter."""
+    everyone = (1 << profile.n) - 1
     for c in profile.alternatives:
-        if _strict_winner_of_subset(profile, range(profile.n), c):
+        if _mask_is_strict_win(everyone, _pair_masks(profile, c)):
             return c
     return None
+
+
+def _pair_masks(profile: Profile, a: str) -> list:
+    """Per challenger b, the voter bitmasks preferring b to ``a`` and ``a`` to b."""
+    pair_masks = []
+    for b in profile.alternatives:
+        if b == a:
+            continue
+        over = under = 0
+        for i, v in enumerate(profile.voters):
+            if v.prefers(b, a):
+                over |= 1 << i
+            elif v.prefers(a, b):
+                under |= 1 << i
+        pair_masks.append((over, under))
+    return pair_masks
 
 
 def _mask_is_strict_win(mask: int, pair_masks) -> bool:
@@ -115,17 +133,7 @@ def young_score_bruteforce(profile: Profile, a: str) -> tuple[int, frozenset]:
     n = profile.n
     if n > MAX_YOUNG_VOTERS:
         raise ValueError("too many voters for brute force")
-    pair_masks = []
-    for b in profile.alternatives:
-        if b == a:
-            continue
-        over = under = 0
-        for i, v in enumerate(profile.voters):
-            if v.prefers(b, a):
-                over |= 1 << i
-            elif v.prefers(a, b):
-                under |= 1 << i
-        pair_masks.append((over, under))
+    pair_masks = _pair_masks(profile, a)
     best_size = 0
     witness = frozenset()
     for mask in range(1, 1 << n):
@@ -138,52 +146,37 @@ def young_score_bruteforce(profile: Profile, a: str) -> tuple[int, frozenset]:
     return best_size, witness
 
 
-def young_score_median(profile: Profile, ordering, a: str) -> int:
-    """Young score on a single-crossing profile via median-voter trimming.
-
-    ``ordering`` must certify single-crossingness (checked).  Deleting voters
-    only from the two extremes of the ordering, the score is the largest
-    remaining block whose median voter puts ``a`` on top and where ``a`` is
-    the strict Condorcet winner.  Returns 0 when no voter ranks ``a`` first.
-    """
+def young_block_median(profile: Profile, ordering, a: str) -> tuple:
+    """The voters, in ``ordering``'s order, of a largest subprofile with ``a``
+    as strict Condorcet winner; empty when no voter ranks ``a`` first.
+    ``ordering`` must certify single-crossingness of linear orders (checked).
+    Every voter subset then has its median voters' majority relation (Gans and
+    Smart, 1996), so the block is the longest window whose one or two median
+    positions lie in the interval [p, q] of voters ranking ``a`` first."""
+    if not profile.is_linear():
+        raise ValueError("the median-voter rule requires linear orders")
     ordering = tuple(ordering)
-    if sorted(ordering) != list(range(profile.n)):
-        raise ValueError("ordering must be a permutation of the voters")
-    for x in profile.alternatives:
-        for y in profile.alternatives:
-            if x == y:
-                continue
-            positions = sorted(
-                pos
-                for pos, i in enumerate(ordering)
-                if profile.voters[i].prefers(x, y)
-            )
-            if positions and positions[-1] - positions[0] + 1 != len(positions):
-                raise ValueError("ordering does not certify single-crossing")
-    if not any(v.rank(a) == 1 for v in profile.voters):
-        return 0
-    best = 0
     n = profile.n
-    for left in range(n):
-        for right in range(left, n):
-            size = right - left + 1
-            if size <= best:
-                continue
-            block = [ordering[p] for p in range(left, right + 1)]
-            medians = {block[(size - 1) // 2], block[size // 2]}
-            if not any(profile.voters[i].rank(a) == 1 for i in medians):
-                continue
-            if _strict_winner_of_subset(profile, block, a):
-                best = size
-    return best
+    if sorted(ordering) != list(range(n)):
+        raise ValueError("ordering must be a permutation of the voters")
+    for x, y in itertools.permutations(profile.alternatives, 2):
+        positions = [pos for pos, i in enumerate(ordering) if profile.voters[i].prefers(x, y)]
+        if positions and positions[-1] - positions[0] + 1 != len(positions):
+            raise ValueError("ordering does not certify single-crossing")
+    tops = [pos for pos, i in enumerate(ordering) if profile.voters[i].rank(a) == 1]
+    if not tops:
+        return ()
+    p, q = tops[0], tops[-1]
+    c = min(max((n - 1) // 2, p), q)  # one median, at c
+    half = min(c, n - 1 - c)
+    block = ordering[c - half : c + half + 1]
+    if q > p:  # two medians, at c and c + 1
+        c = min(max((n - 2) // 2, p), q - 1)
+        half = min(c, n - 2 - c)
+        block = max(block, ordering[c - half : c + half + 2], key=len)
+    return block
 
 
-def _strict_winner_of_subset(profile: Profile, voters, a: str) -> bool:
-    for b in profile.alternatives:
-        if b == a:
-            continue
-        over = sum(1 for i in voters if profile.voters[i].prefers(b, a))
-        under = sum(1 for i in voters if profile.voters[i].prefers(a, b))
-        if over >= under:
-            return False
-    return True
+def young_score_median(profile: Profile, ordering, a: str) -> int:
+    """Young score on a single-crossing profile: ``young_block_median``'s size."""
+    return len(young_block_median(profile, ordering, a))

@@ -347,7 +347,7 @@ def test_criterion_7_recognition():
 
 
 def test_criterion_8_oracle_cross_checks():
-    """Median-trimming equals exhaustive search on single-crossing profiles,
+    """The median-voter rule equals exhaustive search on single-crossing profiles,
     and the ordered-weighted rules degenerate exactly as they should."""
     for trial in range(100):
         rng = random.Random(1_100_000 + trial)

@@ -79,6 +79,14 @@ def e3_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def sc25_file(tmp_path):
+    """A single-crossing profile past brute force's voter limit."""
+    path = tmp_path / "sc25.prof"
+    path.write_text(serialize_profile(generate_single_crossing(5, 25, 3)[0]))
+    return str(path)
+
+
 class TestSolveCommand:
     def test_cc_e1_with_audit(self, e1_file):
         report = run_json(
@@ -172,6 +180,23 @@ class TestYoungCommand:
 
     def test_unknown_candidate(self, e1_file):
         run_cli("young", "--candidate", "z", "--input", e1_file, expect=2)
+
+    def test_audit_past_brute_force_on_single_crossing(self, tmp_path):
+        path = tmp_path / "big-sc.prof"
+        path.write_text(serialize_profile(generate_single_crossing(6, 2000, 1)[0]))
+        report = run_json("young", "--candidate", "c", "--input", str(path), "--audit", "--strict")
+        audit, ordering = report["audit"], report["recognition"]["single_crossing"]
+        assert audit["match"] is True and audit["oracle_score"] == report["young_score"] > 20
+        # the witness is the block of the crossing order that the median-voter rule keeps
+        start = min(ordering.index(i) for i in audit["oracle_witness"])
+        block = ordering[start : start + audit["oracle_score"]]
+        assert sorted(block) == audit["oracle_witness"]
+
+    def test_audit_past_brute_force_needs_single_crossing(self, tmp_path):
+        path = tmp_path / "random21.prof"
+        path.write_text(serialize_profile(generate_random_linear(4, 21, 1)))
+        proc = run_cli("young", "--candidate", "a", "--input", str(path), "--audit", expect=2)
+        assert "not single-crossing" in proc.stderr
 
 
 class TestEverySubcommand:
@@ -288,21 +313,28 @@ class TestAuditMismatch:
             (("solve", "--rule", "cc", "--k", "1"), "brute_force_committee"),
             (("egal", "--rule", "cc", "--k", "1"), "brute_force_egalitarian"),
             (("young", "--candidate", "b"), "young_score_bruteforce"),
+            (("young", "--candidate", "b"), "young_score_median"),
         ],
     )
-    def test_oracle_disagreement(self, argv, oracle_name, strict, e1_file, monkeypatch, capsys):
+    def test_oracle_disagreement(
+        self, argv, oracle_name, strict, e1_file, sc25_file, monkeypatch, capsys
+    ):
         real = getattr(votelp.cli.oracle, oracle_name)
 
         def shifted(*args):
             best = real(*args)
             if isinstance(best, OracleResult):
                 return OracleResult(best.best_value + 1, best.argmax)
+            if isinstance(best, int):
+                return best + 1
             score, witness = best
             return score + 1, witness
 
         monkeypatch.setattr(votelp.cli.oracle, oracle_name, shifted)
         flags = ["--audit", "--strict"] if strict else ["--audit"]
-        status = votelp.cli.main([*argv, "--input", e1_file, *flags])
+        # the median-voter rule audits only past brute force's voter limit
+        path = sc25_file if oracle_name == "young_score_median" else e1_file
+        status = votelp.cli.main([*argv, "--input", path, *flags])
         report = json.loads(capsys.readouterr().out)
         assert status == (3 if strict else 0)
         assert report["audit"]["match"] is False

@@ -257,7 +257,7 @@ class TestYoungInstance:
                 assert score == young_score_median(profile, ordering, a), (seed, a)
 
     def test_one_variable_per_distinct_order_at_scale(self):
-        profile, _ = generate_single_crossing(6, 2000, 1)
+        profile, ordering = generate_single_crossing(6, 2000, 1)
         deleted_any = False
         for a in profile.alternatives:
             inst = young_ip(profile, a)
@@ -265,7 +265,9 @@ class TestYoungInstance:
             report = solve_ip(inst)
             if report.final.status != "optimal":
                 assert not any(order.rank(a) == 1 for order, _ in profile.groups)
+                assert young_score_median(profile, ordering, a) == 0
                 continue
+            assert profile.n - report.final.objective == young_score_median(profile, ordering, a)
             deleted = report.extracted.deleted_voters
             assert len(deleted) == report.final.objective
             deleted_any |= bool(deleted)

@@ -150,10 +150,16 @@ class TestYoungScores:
         # at least one ordering of six voters fails to certify (sanity of the check)
         assert bad is not None
 
+    def test_median_rejects_weak_orders(self):
+        # the median voters of a tied profile need not carry its majority relation
+        profile = ranked("a b c", "{a,b}>c", "a>b>c")
+        with pytest.raises(ValueError, match="linear orders"):
+            young_score_median(profile, (0, 1), "a")
+
     def test_median_matches_bruteforce_on_generated(self):
-        for seed in range(30):
+        for seed in range(300):
             rng = random.Random(7000 + seed)
-            m, n = rng.randint(2, 5), rng.randint(1, 10)
+            m, n = rng.randint(2, 6), rng.randint(1, 16)
             profile, ordering = generate_single_crossing(m, n, seed)
             for a in profile.alternatives:
                 brute, _ = young_score_bruteforce(profile, a)
