@@ -158,7 +158,7 @@ def _load_election(args, *, need: str):
     return text, election
 
 
-_ORACLE_DISAGREES = "solver disagrees with the brute-force oracle"
+_ORACLE_DISAGREES = "solver disagrees with the oracle"
 
 
 def _rule(args, election) -> RuleSpec:

@@ -5,15 +5,18 @@ sparse rational instance; ``extract_solution`` maps solver assignments back
 to committees or deleted-voter sets.  ``cc_ip``, ``owa_ip`` and ``pav_ip``
 are one program, built by ``_threshold_ip``: every voter reads one column
 set per rank threshold r (its top segment) or its approval ballot, and each
-distinct set gets one row, in which slot l is earned once l committee
-members lie in the set.  The slot is worth alpha_l times the summed w'_r of
-every (voter, threshold) reading the set, so repeated voters add weight,
-not rows, and the program size is bounded by the distinct segments or
-ballots (at most m(m+1)/2 on single-peaked or interval profiles).  With the
-marginal weights w'_r each voter's total telescopes back to the rule's
-score; cc is the single slot alpha = (1,), pav the single threshold
-w' = (1,).  The egalitarian feasibility program reads the same column sets
-(the model's top segments or ballots) as covering rows, one per voter.
+distinct set S gets one row, in which slot l <= |S| is earned once l
+committee members lie in the set.  The slot is worth alpha_l times the
+summed w'_r of every (voter, threshold) reading the set, so repeated voters
+add weight, not rows, and the program size is bounded by the distinct
+segments or ballots (at most m(m+1)/2 on single-peaked or interval
+profiles).  With the marginal weights w'_r each voter's total telescopes
+back to the rule's score; cc is the single slot alpha = (1,), pav the single
+threshold w' = (1,).  Only the committee variables are flagged integral:
+once they are, each row's slots are unit columns under an integral bound,
+so a vertex with an integral committee has integral slots.  The egalitarian
+feasibility program reads the same column sets (the model's top segments or
+ballots) as covering rows, one per voter.
 """
 
 from __future__ import annotations
@@ -133,7 +136,7 @@ class Variable:
 
 @dataclass(frozen=True)
 class Constraint:
-    coeffs: tuple  # ((var_index, rational), ...) sorted by index
+    coeffs: tuple  # ((var_index, rational), ...), strictly increasing indices
     sense: str  # "<=" | "=" | ">="
     rhs: object
     label: str
@@ -159,9 +162,11 @@ class IPInstance:
         for con in self.constraints:
             if con.sense not in ("<=", "=", ">="):
                 raise ValueError(f"bad constraint sense {con.sense!r}")
-            for idx, _ in con.coeffs:
-                if not 0 <= idx < nvars:
-                    raise ValueError(f"constraint {con.label} references an undeclared variable")
+            indices = [idx for idx, _ in con.coeffs]
+            if any(not 0 <= idx < nvars for idx in indices):
+                raise ValueError(f"constraint {con.label} references an undeclared variable")
+            if any(a >= b for a, b in zip(indices, indices[1:])):
+                raise ValueError(f"constraint {con.label} must list strictly increasing indices")
             if con.label == CARDINALITY_LABEL:
                 cardinality += 1
         if any(v.role == COMMITTEE for v in self.variables) and cardinality != 1:
@@ -185,10 +190,6 @@ class IPInstance:
 class ExtractedSolution:
     committee: frozenset | None
     deleted_voters: frozenset | None
-
-
-def _binary(name: str, role: str) -> Variable:
-    return Variable(name, role, ZERO, ONE, True)
 
 
 def marginal_weights(w: ScoringVector, m: int) -> tuple:
@@ -220,7 +221,7 @@ def _committee_vars(election, k: int):
     """The committee variables and the cardinality row of a size-k program."""
     if not 1 <= k <= election.m:
         raise ValueError("committee size out of range")
-    variables = [_binary(f"y_{c}", COMMITTEE) for c in election.alternatives]
+    variables = [Variable(f"y_{c}", COMMITTEE, ZERO, ONE, True) for c in election.alternatives]
     cardinality = Constraint(
         tuple((j, ONE) for j in range(election.m)), "=", Fraction(k), CARDINALITY_LABEL
     )
@@ -228,12 +229,13 @@ def _committee_vars(election, k: int):
 
 
 def _threshold_ip(election, rank_weights, slots, k: int) -> IPInstance:
-    """The shared committee program: one row per distinct column set that some
-    (voter, threshold r) reads, with slot variables x_1..x_L and the row
-    x_1 + ... + x_L <= (committee members among the set's columns).  Slot l
-    is worth ``slots[l]`` times the summed ``rank_weights[r]`` of every
-    (voter, threshold) reading the set; the row and its point variables are
-    named after the first reader."""
+    """The shared committee program: one row per distinct column set S that
+    some (voter, threshold r) reads, with continuous slot variables
+    x_1..x_L in [0, 1], L = min(len(slots), |S|), and the row
+    x_1 + ... + x_L <= (committee members among S); a slot past |S| could
+    never be earned, so it is left out.  Slot l is worth ``slots[l]`` times
+    the summed ``rank_weights[r]`` of every (voter, threshold) reading S;
+    the row and its point variables are named after the first reader."""
     variables, constraints = _committee_vars(election, k)
     ranked = not isinstance(election, ApprovalProfile)
     readers: dict = {}  # sorted column set -> [first reader's label, summed weight]
@@ -248,13 +250,13 @@ def _threshold_ip(election, rank_weights, slots, k: int) -> IPInstance:
     objective = []
     for cols, (row, weight) in readers.items():
         point = "x_" + row.replace(":", "_")
-        x_base = len(variables)
-        for ell, slot in enumerate(slots, start=1):
-            variables.append(_binary(f"{point}_l{ell}", POINT))
-            if slot * weight != 0:
-                objective.append((x_base + ell - 1, slot * weight))
         coeffs = [(j, -ONE) for j in cols]
-        coeffs += [(x_base + ell, ONE) for ell in range(len(slots))]
+        for ell, slot in enumerate(slots[: len(cols)], start=1):
+            worth = slot * weight
+            if worth:
+                objective.append((len(variables), worth))
+            coeffs.append((len(variables), ONE))
+            variables.append(Variable(f"{point}_l{ell}", POINT, ZERO, ONE, False))
         constraints.append(Constraint(tuple(coeffs), "<=", ZERO, row))
     return IPInstance(tuple(variables), "max", tuple(objective), tuple(constraints))
 
@@ -278,7 +280,8 @@ def owa_ip(profile: Profile, w: ScoringVector, alpha: OwaVector, k: int) -> IPIn
     the point variable for (top segment, slot) is earned when the committee
     contains at least that many members of the segment, and is worth the
     slot weight times the summed marginal weights of every (voter, rank)
-    whose top segment it is.
+    whose top segment it is.  A segment of size s gets min(k, s) slots, and
+    the slots are continuous: an integral committee makes them integral.
     """
     if len(alpha) != k:
         raise ValueError("OWA vector length must equal the committee size")

@@ -26,8 +26,8 @@ objective is summed from the program's own coefficients.
 
 ``solve_ip`` first solves the relaxation and reports whether that alone
 produced an integral vertex; only if it did not does depth-first
-branch-and-bound start, branching on the most fractional committee or
-deletion variable with exact-rational incumbent pruning.
+branch-and-bound start, branching on the most fractional
+integrality-flagged variable with exact-rational incumbent pruning.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .formulate import COMMITTEE, DELETION, ZERO, IPInstance, extract_solution
+from .formulate import ZERO, IPInstance, extract_solution
 
 _AT_LOWER = 0
 _AT_UPPER = 1
@@ -282,14 +282,10 @@ def solve_lp(inst: IPInstance, bound_overrides=None) -> LPSolution:
     scale = math.lcm(*(c.denominator for c in costs_struct))
     costs_struct = [c.numerator * (scale // c.denominator) for c in costs_struct]
 
-    # presolve: constraints with no coefficients are checked and dropped
+    # presolve: constraints with no nonzero coefficients are checked and dropped
     kept = []
     for con in inst.constraints:
-        coeffs: dict = {}
-        for idx, coef in con.coeffs:
-            if coef:
-                coeffs[idx] = coeffs.get(idx, ZERO) + coef
-        coeffs = {j: _exact(v) for j, v in coeffs.items() if v}
+        coeffs = {j: _exact(v) for j, v in con.coeffs if v}
         if not coeffs:
             if not _holds(ZERO, con.sense, con.rhs):
                 return LPSolution("infeasible", (), None, 0)
@@ -399,46 +395,39 @@ def is_integral(solution: LPSolution, inst: IPInstance) -> bool:
     """Exact zero-tolerance test of the integrality-flagged variables."""
     if solution.status != "optimal":
         raise ValueError("integrality is defined for optimal solutions only")
-    return all(
-        solution.values[j].denominator == 1
-        for j, var in enumerate(inst.variables)
-        if var.integral
-    )
+    return _branch_variable(inst, solution) is None
 
 
 def _branch_variable(inst: IPInstance, solution: LPSolution):
-    """Most fractional committee/deletion variable (ties: lowest index)."""
+    """Most fractional variable the program flags integral (ties: lowest
+    index), or None when every flagged variable is integral."""
     best = None
     best_score = None
-    fallback = None
     for j, var in enumerate(inst.variables):
-        if not var.integral or solution.values[j].denominator == 1:
+        value = solution.values[j]
+        if not var.integral or value.denominator == 1:
             continue
-        if var.role not in (COMMITTEE, DELETION):
-            if fallback is None:
-                fallback = j
-            continue
-        frac = solution.values[j] - math.floor(solution.values[j])
+        frac = value - math.floor(value)
         score = min(frac, 1 - frac)
         if best_score is None or score > best_score:
             best, best_score = j, score
-    if best is not None:
-        return best
-    return fallback
+    return best
 
 
 def solve_ip(inst: IPInstance) -> SolveReport:
     """Relaxation first; branch-and-bound only if the vertex is fractional.
 
-    Branches depth-first on the most fractional committee/deletion variable,
-    pruning with exact rational bound comparisons against the incumbent.
-    Point variables are never fractional at a vertex once the committee
-    variables are integral, so this branching scheme is complete.
+    Branches depth-first on the most fractional variable the program flags
+    integral, pruning with exact rational bound comparisons against the
+    incumbent.  The flags alone decide what must be integral; the committee
+    programs flag only their committee variables, because their continuous
+    point variables are integral at any vertex whose committee is.
     """
     root = solve_lp(inst)
     if root.status != "optimal":
         return SolveReport(root, False, 0, root, None)
-    if is_integral(root, inst):
+    first = _branch_variable(inst, root)
+    if first is None:
         return SolveReport(root, True, 0, root, extract_solution(inst, root.values))
 
     maximize = inst.objective_sense == "max"
@@ -448,7 +437,6 @@ def solve_ip(inst: IPInstance) -> SolveReport:
 
     incumbent = None
     nodes = 0
-    first = _branch_variable(inst, root)
     stack = _split(inst, {}, first, root.values[first])
     while stack:
         overrides = stack.pop()

@@ -390,13 +390,18 @@ class TestObjectiveLinkage:
 
 
 def _slot_counts(inst):
-    """Distinct numbers of +1 point entries over the non-cardinality rows,
-    whose committee entries must all be -1."""
-    counts = set()
+    """(committee entries, +1 point entries) of each non-cardinality row,
+    whose committee entries must all be -1; every point variable must be
+    continuous."""
+    assert not any(v.integral for v in inst.variables if v.role == "point")
+    counts = []
     for con in inst.constraints[1:]:
         roles = [(inst.variables[idx].role, coef) for idx, coef in con.coeffs]
         assert all(coef == -1 for role, coef in roles if role == "committee")
-        counts.add(sum(1 for role, coef in roles if role == "point" and coef == 1))
+        counts.append((
+            sum(1 for role, _ in roles if role == "committee"),
+            sum(1 for role, coef in roles if role == "point" and coef == 1),
+        ))
     return counts
 
 
@@ -417,17 +422,18 @@ class TestConstraintStructure:
         # the cardinality row, then the distinct segment rows in first-seen order
         expected = ((1,) * profile.m,) + tuple(dict.fromkeys(build_sp_matrix(profile).entries))
         assert committee_submatrix(inst).entries == expected
+        assert all(slots == 1 for _, slots in _slot_counts(inst))
         for k in (2, 3):
             inst = owa_ip(profile, ScoringVector.borda(5), OwaVector.harmonic(k), k)
             assert committee_submatrix(inst).entries == expected
-            assert _slot_counts(inst) == {k}
+            assert all(slots == min(k, size) for size, slots in _slot_counts(inst))
         ap, _ = generate_candidate_interval(5, 6, 99)
         # the cardinality row, then the distinct ballots over a b c d e:
         # {a,b,c,e} (two voters), {a,b,c}, {e}, {b,c}, {a,b,c,d,e}
         inst = pav_ip(ap, OwaVector.harmonic(2), 2)
         rows = ["".join(map(str, row)) for row in committee_submatrix(inst).entries]
         assert rows == ["11111", "11101", "11100", "00001", "01100", "11111"]
-        assert _slot_counts(inst) == {2}
+        assert _slot_counts(inst) == [(4, 2), (3, 2), (1, 1), (2, 2), (5, 2)]
 
     def test_egalitarian_rows_are_segments_and_ballots(self):
         rng = random.Random(4242)
@@ -668,16 +674,34 @@ class TestInvariances:
             assert set(b2.argmax) == set(o2.argmax)
 
     def test_point_relaxation_preserves_optimum(self):
+        # the built programs keep their point variables continuous; flagging
+        # them integral (the binary form) must not change a single report field
         rng = random.Random(808)
-        for _ in range(6):
-            ap = random_approval_profile(rng, 4, 4)
-            inst = pav_ip(ap, OwaVector.harmonic(2), 2)
-            relaxed = dataclasses.replace(inst, variables=tuple(
-                dataclasses.replace(v, integral=False) if v.role == "point" else v
-                for v in inst.variables
-            ))
-            assert not any(v.integral and v.role == "point" for v in relaxed.variables)
-            assert solve_ip(inst).final.objective == solve_ip(relaxed).final.objective
+        branched = 0
+        for _ in range(20):
+            m, n, k = rng.randint(4, 6), rng.randint(8, 16), rng.randint(2, 3)
+            seed = rng.randrange(10**6)
+            w, alpha = ScoringVector.borda(m), OwaVector.harmonic(k)
+            sp = generate_single_peaked(m, n, seed)[0]
+            orders = generate_random_linear(m, n, seed)
+            programs = [
+                cc_ip(sp, w, k),
+                owa_ip(sp, w, alpha, k),
+                pav_ip(generate_candidate_interval(m, n, seed)[0], alpha, k),
+                cc_ip(orders, w, k),
+                owa_ip(orders, w, alpha, k),
+                pav_ip(random_approval_profile(rng, m, n), alpha, k),
+            ]
+            for inst in programs:
+                assert not any(v.integral for v in inst.variables if v.role == "point")
+                binary = dataclasses.replace(inst, variables=tuple(
+                    dataclasses.replace(v, integral=True) if v.role == "point" else v
+                    for v in inst.variables
+                ))
+                report = solve_ip(inst)
+                assert solve_ip(binary) == report
+                branched += report.branch_nodes > 0
+        assert branched >= 3
 
 
 class TestInstanceValidation:
@@ -697,6 +721,17 @@ class TestInstanceValidation:
         )
         with pytest.raises(ValueError):
             IPInstance(inst.variables, inst.objective_sense, inst.objective, bad)
+
+    @pytest.mark.parametrize("indices", [(0, 0), (1, 0)])
+    def test_row_indices_strictly_increase(self, indices):
+        # a repeated index would be solved as 2 y_a <= 1, vertex (1/2, 1/2),
+        # while the matrix views read the row as (1, 0)
+        from votelp import Constraint, Variable
+
+        variables = tuple(Variable(f"y_{c}", "point", rat(0), rat(1), False) for c in "ab")
+        row = Constraint(tuple((j, rat(1)) for j in indices), "<=", rat(1), "twice")
+        with pytest.raises(ValueError, match="twice"):
+            IPInstance(variables, "max", ((0, rat(1)), (1, rat(1))), (row,))
 
 
 class TestSerialization:

@@ -474,13 +474,13 @@ PINNED = [
     ("cc", "sc", 6, 9, 3, 27, 31, True, 0, "53"),
     ("cc", "random", 7, 16, 2, 6, 89, False, 2, "95"),
     ("cc", "random", 6, 12, 2, 13, 51, False, 2, "64"),
-    ("owa", "sp", 6, 10, 5, 11, 73, True, 0, "6433/60"),
-    ("owa", "sp", 5, 9, 3, 5, 46, True, 0, "413/6"),
-    ("owa", "random", 6, 8, 3, 9, 116, True, 0, "199/3"),
-    ("owa", "random", 5, 16, 2, 143, 79, False, 2, "169/2"),
-    ("pav", "ci", 5, 7, 4, 16, 25, True, 0, "125/12"),
-    ("pav", "ci", 6, 15, 3, 251, 55, True, 0, "58/3"),
-    ("pav", "random", 7, 16, 2, 101, 51, False, 2, "35/2"),
+    ("owa", "sp", 6, 10, 5, 11, 64, True, 0, "6433/60"),
+    ("owa", "sp", 5, 9, 3, 5, 37, True, 0, "413/6"),
+    ("owa", "random", 6, 8, 3, 9, 117, True, 0, "199/3"),
+    ("owa", "random", 5, 16, 2, 143, 78, False, 2, "169/2"),
+    ("pav", "ci", 5, 7, 4, 16, 23, True, 0, "125/12"),
+    ("pav", "ci", 6, 15, 3, 251, 48, True, 0, "58/3"),
+    ("pav", "random", 7, 16, 2, 101, 50, False, 2, "35/2"),
     ("pav", "random", 7, 13, 2, 151, 42, False, 2, "11"),
     ("egal", "sp", 5, 7, 4, 16, 22, True, 0, "0"),
     ("egal", "sp", 4, 9, 1, 26, 4, False, 0, None),
