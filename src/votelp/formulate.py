@@ -17,11 +17,17 @@ once they are, each row's slots are unit columns under an integral bound,
 so a vertex with an integral committee has integral slots.  The egalitarian
 feasibility program reads the same column sets (the model's top segments or
 ballots) as covering rows, one per voter.
+
+Every number a program holds (bounds, coefficients, right-hand sides and
+objective coefficients) is in canonical exact form: an ``int`` when it is
+integral, a ``Fraction`` only when it is not.  The builders emit it that way,
+and ``IPInstance`` puts hand-built data into that form, so a solver can read
+a program's data as it is.  The rule vectors stay ``Fraction``s.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .model import ApprovalProfile, Profile, majority_margin
@@ -35,6 +41,32 @@ POINT = "point"
 DELETION = "deletion"
 
 CARDINALITY_LABEL = "cardinality"
+
+
+def _exact(x):
+    """``x`` in canonical form: an ``int`` when it is integral, else unchanged."""
+    return x if x is None or x.denominator != 1 else x.numerator
+
+
+def _exact_pairs(pairs: tuple) -> tuple:
+    """Sparse ``(index, number)`` pairs, every number in canonical form."""
+    if all(type(v) is int or v.denominator != 1 for _, v in pairs):
+        return pairs
+    return tuple((j, _exact(v)) for j, v in pairs)
+
+
+def _exact_variable(var):
+    lower, upper = _exact(var.lower), _exact(var.upper)
+    if lower is var.lower and upper is var.upper:
+        return var
+    return replace(var, lower=lower, upper=upper)
+
+
+def _exact_constraint(con):
+    coeffs, rhs = _exact_pairs(con.coeffs), _exact(con.rhs)
+    if coeffs is con.coeffs and rhs is con.rhs:
+        return con
+    return replace(con, coeffs=coeffs, rhs=rhs)
 
 
 @dataclass(frozen=True)
@@ -136,7 +168,7 @@ class Variable:
 
 @dataclass(frozen=True)
 class Constraint:
-    coeffs: tuple  # ((var_index, rational), ...), strictly increasing indices
+    coeffs: tuple  # ((var_index, number), ...), strictly increasing indices
     sense: str  # "<=" | "=" | ">="
     rhs: object
     label: str
@@ -144,11 +176,12 @@ class Constraint:
 
 @dataclass(frozen=True)
 class IPInstance:
-    """Sparse rational optimization instance."""
+    """Sparse exact optimization instance; every bound, coefficient and
+    right-hand side is put into canonical form (see the module docstring)."""
 
     variables: tuple
     objective_sense: str  # "max" | "min"
-    objective: tuple  # sparse ((var_index, rational), ...)
+    objective: tuple  # sparse ((var_index, number), ...)
     constraints: tuple
 
     def __post_init__(self):
@@ -163,7 +196,7 @@ class IPInstance:
             if con.sense not in ("<=", "=", ">="):
                 raise ValueError(f"bad constraint sense {con.sense!r}")
             indices = [idx for idx, _ in con.coeffs]
-            if any(not 0 <= idx < nvars for idx in indices):
+            if indices and not (0 <= indices[0] and indices[-1] < nvars):
                 raise ValueError(f"constraint {con.label} references an undeclared variable")
             if any(a >= b for a, b in zip(indices, indices[1:])):
                 raise ValueError(f"constraint {con.label} must list strictly increasing indices")
@@ -171,6 +204,9 @@ class IPInstance:
                 cardinality += 1
         if any(v.role == COMMITTEE for v in self.variables) and cardinality != 1:
             raise ValueError("committee formulations need exactly one cardinality constraint")
+        object.__setattr__(self, "variables", tuple(map(_exact_variable, self.variables)))
+        object.__setattr__(self, "objective", _exact_pairs(self.objective))
+        object.__setattr__(self, "constraints", tuple(map(_exact_constraint, self.constraints)))
 
     @property
     def num_vars(self) -> int:
@@ -221,10 +257,8 @@ def _committee_vars(election, k: int):
     """The committee variables and the cardinality row of a size-k program."""
     if not 1 <= k <= election.m:
         raise ValueError("committee size out of range")
-    variables = [Variable(f"y_{c}", COMMITTEE, ZERO, ONE, True) for c in election.alternatives]
-    cardinality = Constraint(
-        tuple((j, ONE) for j in range(election.m)), "=", Fraction(k), CARDINALITY_LABEL
-    )
+    variables = [Variable(f"y_{c}", COMMITTEE, 0, 1, True) for c in election.alternatives]
+    cardinality = Constraint(tuple((j, 1) for j in range(election.m)), "=", k, CARDINALITY_LABEL)
     return variables, [cardinality]
 
 
@@ -233,15 +267,18 @@ def _threshold_ip(election, rank_weights, slots, k: int) -> IPInstance:
     some (voter, threshold r) reads, with continuous slot variables
     x_1..x_L in [0, 1], L = min(len(slots), |S|), and the row
     x_1 + ... + x_L <= (committee members among S); a slot past |S| could
-    never be earned, so it is left out.  Slot l is worth ``slots[l]`` times
-    the summed ``rank_weights[r]`` of every (voter, threshold) reading S;
-    the row and its point variables are named after the first reader."""
+    never be earned, so it is left out, and an empty S (an empty ballot)
+    gets no row at all.  Slot l is worth ``slots[l]`` times the summed
+    ``rank_weights[r]`` of every (voter, threshold) reading S; the row and
+    its point variables are named after the first reader."""
     variables, constraints = _committee_vars(election, k)
     ranked = not isinstance(election, ApprovalProfile)
     readers: dict = {}  # sorted column set -> [first reader's label, summed weight]
     for thresholds, members in _columns(election):
         first = f"v{members[0] + 1}"
         for r, (weight, cols) in enumerate(zip(rank_weights, thresholds), start=1):
+            if not cols:
+                continue
             weight *= len(members)
             if cols in readers:
                 readers[cols][1] += weight
@@ -250,14 +287,14 @@ def _threshold_ip(election, rank_weights, slots, k: int) -> IPInstance:
     objective = []
     for cols, (row, weight) in readers.items():
         point = "x_" + row.replace(":", "_")
-        coeffs = [(j, -ONE) for j in cols]
+        coeffs = [(j, -1) for j in cols]
         for ell, slot in enumerate(slots[: len(cols)], start=1):
             worth = slot * weight
             if worth:
-                objective.append((len(variables), worth))
-            coeffs.append((len(variables), ONE))
-            variables.append(Variable(f"{point}_l{ell}", POINT, ZERO, ONE, False))
-        constraints.append(Constraint(tuple(coeffs), "<=", ZERO, row))
+                objective.append((len(variables), _exact(worth)))
+            coeffs.append((len(variables), 1))
+            variables.append(Variable(f"{point}_l{ell}", POINT, 0, 1, False))
+        constraints.append(Constraint(tuple(coeffs), "<=", 0, row))
     return IPInstance(tuple(variables), "max", tuple(objective), tuple(constraints))
 
 
@@ -300,7 +337,7 @@ def young_ip(profile: Profile, a: str) -> IPInstance:
     if a not in profile.alternatives:
         raise ValueError(f"unknown alternative {a!r}")
     variables = [
-        Variable(f"d_v{members[0] + 1}", DELETION, ZERO, Fraction(len(members)), True, members)
+        Variable(f"d_v{members[0] + 1}", DELETION, 0, len(members), True, members)
         for _, members in profile.groups
     ]
     constraints = []
@@ -308,14 +345,14 @@ def young_ip(profile: Profile, a: str) -> IPInstance:
         if b == a:
             continue
         coeffs = tuple(
-            (g, ONE if order.prefers(b, a) else -ONE)
+            (g, 1 if order.prefers(b, a) else -1)
             for g, (order, _) in enumerate(profile.groups)
             if order.rank(a) != order.rank(b)
         )
-        rhs = Fraction(majority_margin(profile, b, a) + 1)
+        rhs = majority_margin(profile, b, a) + 1
         constraints.append(Constraint(coeffs, ">=", rhs, f"{b}>{a}"))
-    everyone = tuple((g, ONE) for g in range(len(variables)))
-    constraints.append(Constraint(everyone, "<=", Fraction(profile.n - 1), "keep"))
+    everyone = tuple((g, 1) for g in range(len(variables)))
+    constraints.append(Constraint(everyone, "<=", profile.n - 1, "keep"))
     return IPInstance(tuple(variables), "min", everyone, tuple(constraints))
 
 
@@ -333,17 +370,17 @@ def egalitarian_feasibility_ip(election, rule: RuleSpec, level) -> IPInstance:
     if rule.kind == "cc":
         # weights are non-increasing: the ranks worth at least ``level`` are 1..threshold
         threshold = sum(1 for w in rule.weights.padded(election.m) if w >= level)
-        rhs, suffix = ONE, ""
+        rhs, suffix = 1, ""
     else:
         # prefix sums are non-decreasing: ``needed`` approved members reach ``level``,
         # and needed = k + 1 means level exceeds the best achievable per-voter value
         needed = sum(1 for total in rule.owa.prefix_sums() if total < level)
-        threshold, rhs = 1, Fraction(needed)
+        threshold, rhs = 1, needed
         suffix = ":infeasible" if needed > rule.k else ""
     # one row per voter, in voter order
     for i, thresholds in sorted((i, t) for t, members in _columns(election) for i in members):
         cols = thresholds[threshold - 1] if threshold else ()
-        coeffs = tuple((j, ONE) for j in cols)
+        coeffs = tuple((j, 1) for j in cols)
         constraints.append(Constraint(coeffs, ">=", rhs, f"v{i + 1}{suffix}"))
     return IPInstance(tuple(variables), "max", (), tuple(constraints))
 

@@ -14,15 +14,17 @@ status names.  There is no column index: each iteration builds the entering
 column once, by scanning the rows, and the ratio test, the bound flip or the
 basis change all read that one list.
 
-The tableau runs on ``int`` where it can.  Integral bounds, right-hand sides
-and coefficients enter it as ``int``, the costs are scaled by the least
-common multiple of their denominators (a positive factor, so every reduced
-cost keeps its sign and Bland's rule its path), and every division goes
-through ``_div``, which stays in ``int`` when it is exact and falls back to
+The tableau runs on ``int`` where it can.  A program's bounds, right-hand
+sides and coefficients are already in canonical form (an ``int`` when
+integral, a ``Fraction`` only when not; see ``votelp.formulate``), so they
+enter the tableau as they are.  The costs are scaled by the least common
+multiple of their denominators (a positive factor, so every reduced cost
+keeps its sign and Bland's rule its path), and every division goes through
+``_div``, which stays in ``int`` when it is exact and falls back to
 ``Fraction`` when it is not.  On a totally unimodular program with integral
 data every pivot is ±1 and the tableau builds no ``Fraction``.  The values
-handed back are the program's own bound objects or ``Fraction``s, and the
-objective is summed from the program's own coefficients.
+and the objective handed back are in the same canonical form, and the
+verifier and the objective sum multiply the program's numbers as they are.
 
 ``solve_ip`` first solves the relaxation and reports whether that alone
 produced an integral vertex; only if it did not does depth-first
@@ -36,7 +38,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .formulate import ZERO, IPInstance, extract_solution
+from .formulate import IPInstance, _exact, extract_solution
 
 _AT_LOWER = 0
 _AT_UPPER = 1
@@ -47,9 +49,10 @@ _BASIC = 2
 class LPSolution:
     """Outcome of one LP solve.
 
-    ``values`` holds one exact rational per structural variable when the
-    status is ``optimal`` (empty otherwise); ``pivots`` counts simplex
-    iterations, bound flips included.
+    ``values`` holds one exact number per structural variable when the
+    status is ``optimal`` (empty otherwise), an ``int`` when it is integral
+    and a ``Fraction`` when it is not, and so does ``objective``; ``pivots``
+    counts simplex iterations, bound flips included.
     """
 
     status: str  # "optimal" | "infeasible" | "unbounded"
@@ -68,11 +71,6 @@ class SolveReport:
     branch_nodes: int
     final: LPSolution
     extracted: object | None
-
-
-def _exact(x):
-    """``x`` as an ``int`` when it is integral, else unchanged."""
-    return x if x is None or x.denominator != 1 else x.numerator
 
 
 def _div(a, b):
@@ -261,8 +259,9 @@ def _holds(lhs, sense: str, rhs) -> bool:
 def solve_lp(inst: IPInstance, bound_overrides=None) -> LPSolution:
     """Solve the linear relaxation of an instance exactly.
 
-    Optional ``bound_overrides`` maps variable index to a (lower, upper) pair;
-    the branch-and-bound driver uses it to tighten bounds per node.
+    Optional ``bound_overrides`` maps variable index to a (lower, upper) pair
+    in canonical form; the branch-and-bound driver uses it to tighten bounds
+    per node.
     """
     nstruct = inst.num_vars
     overrides = bound_overrides or {}
@@ -274,7 +273,7 @@ def solve_lp(inst: IPInstance, bound_overrides=None) -> LPSolution:
         bounds.append((lo, up))
 
     maximize = inst.objective_sense == "max"
-    costs_struct = [ZERO] * nstruct
+    costs_struct = [0] * nstruct
     for idx, coef in inst.objective:
         costs_struct[idx] += coef if maximize else -coef
     # integral costs; a positive factor keeps every reduced cost's sign, so
@@ -285,16 +284,16 @@ def solve_lp(inst: IPInstance, bound_overrides=None) -> LPSolution:
     # presolve: constraints with no nonzero coefficients are checked and dropped
     kept = []
     for con in inst.constraints:
-        coeffs = {j: _exact(v) for j, v in con.coeffs if v}
+        coeffs = {j: v for j, v in con.coeffs if v}
         if not coeffs:
-            if not _holds(ZERO, con.sense, con.rhs):
+            if not _holds(0, con.sense, con.rhs):
                 return LPSolution("infeasible", (), None, 0)
             continue
-        kept.append((coeffs, con.sense, _exact(con.rhs)))
+        kept.append((coeffs, con.sense, con.rhs))
 
     tab = _Tableau()
     for lo, up in bounds:
-        tab.add_var(_exact(lo), _exact(up))
+        tab.add_var(lo, up)
     slack_bounds = {"<=": (0, None), ">=": (None, 0), "=": (0, 0)}
     slack_of_row = []
     for coeffs, sense, rhs in kept:
@@ -358,22 +357,22 @@ def solve_lp(inst: IPInstance, bound_overrides=None) -> LPSolution:
         return LPSolution("unbounded", (), None, tab.pivots)
 
     # a value sitting on a bound is the program's own bound object, so a 0/1
-    # vertex holds no rationals of its own; any other value is a Fraction
+    # vertex holds no numbers of its own
     values = [None] * nstruct
     for r, b in enumerate(tab.basis):
         if b < nstruct:
             value = tab.bval[r]
             lo, up = bounds[b]
-            values[b] = lo if value == lo else up if value == up else Fraction(value)
+            values[b] = lo if value == lo else up if value == up else _exact(value)
     for j in range(nstruct):
         if values[j] is None:
             lo, up = bounds[j]
             values[j] = up if tab.stat[j] == _AT_UPPER else lo
-    objective = ZERO
+    objective = 0
     for idx, coef in inst.objective:
         objective += coef * values[idx]
     _verify(inst, bounds, values)
-    return LPSolution("optimal", tuple(values), objective, tab.pivots)
+    return LPSolution("optimal", tuple(values), _exact(objective), tab.pivots)
 
 
 def _verify(inst, bounds, values) -> None:
@@ -384,7 +383,7 @@ def _verify(inst, bounds, values) -> None:
         if up is not None and values[j] > up:
             raise AssertionError(f"bound violation on {inst.variables[j].name}")
     for con in inst.constraints:
-        lhs = ZERO
+        lhs = 0
         for idx, coef in con.coeffs:
             lhs += coef * values[idx]
         if not _holds(lhs, con.sense, con.rhs):
@@ -469,7 +468,7 @@ def _split(inst, overrides, var, value):
     The down branch is returned last so depth-first search explores it first.
     """
     lo, up = overrides.get(var, (inst.variables[var].lower, inst.variables[var].upper))
-    floor = Fraction(math.floor(value))
+    floor = math.floor(value)
     down = dict(overrides)
     down[var] = (lo, floor if up is None else min(up, floor))
     upb = dict(overrides)

@@ -37,6 +37,11 @@ def approval(names: str, *ballots) -> ApprovalProfile:
     return parse_profile("\n".join(lines) + "\n", format="approval")
 
 
+def is_canonical(x) -> bool:
+    """An exact number in canonical form: an ``int`` exactly when integral."""
+    return (type(x) is int) == (x.denominator == 1)
+
+
 # the example profiles referenced throughout the tests
 def profile_e1() -> Profile:
     return ranked("a b c", "a>b>c", "b>a>c", "c>b>a")

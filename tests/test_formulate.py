@@ -48,6 +48,7 @@ from votelp.model import WeakOrder, default_alternative_names
 
 from helpers import (
     approval,
+    is_canonical,
     profile_e1,
     profile_e2,
     profile_e3,
@@ -142,12 +143,25 @@ class TestPavInstance:
         assert report.final.objective == expected
 
     def test_empty_ballot_constraint(self):
+        # an empty ballot earns no slot, so it gets no row and no variable
         ap = approval("a b", {"a"})
         ap = type(ap)(ap.alternatives, (frozenset(),))
         inst = pav_ip(ap, OwaVector((1,)), 1)
-        row = inst.constraints[1]
-        assert row.sense == "<=" and row.rhs == 0
-        assert all(inst.variables[idx].role == "point" for idx, _ in row.coeffs)
+        assert [con.label for con in inst.constraints] == [CARDINALITY_LABEL]
+        assert inst.variables_by_role("point") == ()
+
+    def test_empty_ballot_adds_no_row(self):
+        ap = parse_profile("3\na b c\n2: {}\n1: {a,b}\n", format="approval")
+        inst = pav_ip(ap, OwaVector.harmonic(2), 2)
+        assert all(con.coeffs for con in inst.constraints)
+        assert [con.label for con in inst.constraints] == [CARDINALITY_LABEL, "v3"]
+        assert "v1" not in serialize_ip(inst)
+        assert (0, 0, 0) not in committee_submatrix(inst).entries
+        report = solve_ip(inst)
+        assert (report.lp.pivots, report.lp_integral, str(report.final.objective)) == (
+            5, True, "3/2"
+        )
+        assert report.extracted.committee == frozenset("ab")
 
 
 class TestCcInstance:
@@ -702,6 +716,79 @@ class TestInvariances:
                 assert solve_ip(binary) == report
                 branched += report.branch_nodes > 0
         assert branched >= 3
+
+
+def program_numbers(inst):
+    """Every bound, coefficient, right-hand side and objective coefficient."""
+    for var in inst.variables:
+        yield var.lower
+        if var.upper is not None:
+            yield var.upper
+    for con in inst.constraints:
+        yield con.rhs
+        yield from (v for _, v in con.coeffs)
+    yield from (v for _, v in inst.objective)
+
+
+def seeded_programs(seed):
+    """cc, owa, pav, every egal probe and young on seeded profiles."""
+    rng = random.Random(seed)
+    m, n, k = rng.randint(3, 6), rng.randint(4, 12), 2
+    ranked_profiles = [
+        generate_single_peaked(m, n, seed)[0],
+        generate_single_crossing(m, n, seed)[0],
+        generate_random_linear(m, n, seed),
+    ]
+    approvals = [
+        generate_candidate_interval(m, n, seed)[0],
+        random_approval_profile(rng, m, n, allow_empty=True),
+    ]
+    for election in ranked_profiles + approvals:
+        for rule, inst in _committee_programs(election, k):
+            yield inst
+            if rule.kind != "owa":
+                for level in egalitarian_levels(election, rule):
+                    yield egalitarian_feasibility_ip(election, rule, level)
+    for election in ranked_profiles:
+        yield young_ip(election, election.alternatives[seed % m])
+
+
+class TestCanonicalForm:
+    """A built program holds an ``int`` wherever its number is integral and a
+    ``Fraction`` only where it is not."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_built_programs_are_canonical(self, seed):
+        programs = list(seeded_programs(seed))
+        assert len(programs) > 10
+        for inst in programs:
+            assert all(is_canonical(x) for x in program_numbers(inst)), serialize_ip(inst)
+
+    def test_hand_built_data_is_put_in_canonical_form(self):
+        from votelp import Constraint, Variable
+
+        variables = (
+            Variable("x", "point", rat(0), rat(2), True),
+            Variable("y", "point", rat(1, 2), None, False),
+        )
+        row = Constraint(((0, rat(1)), (1, rat(3, 2))), "<=", rat(4), "cap")
+        inst = IPInstance(variables, "max", ((0, rat(2)), (1, rat(1, 3))), (row,))
+        assert all(is_canonical(x) for x in program_numbers(inst))
+        assert (inst.variables[0].lower, inst.variables[0].upper) == (0, 2)
+        assert inst.variables[1].lower == rat(1, 2) and inst.variables[1].upper is None
+        assert inst.constraints[0].coeffs == ((0, 1), (1, rat(3, 2)))
+        assert type(inst.constraints[0].rhs) is int
+        assert inst.objective == ((0, 2), (1, rat(1, 3)))
+        assert inst.constraints[0].label == "cap"
+
+    def test_canonical_data_is_kept_as_is(self):
+        inst = cc_ip(profile_e1(), BORDA3, 1)
+        again = IPInstance(
+            inst.variables, inst.objective_sense, inst.objective, inst.constraints
+        )
+        assert all(a is b for a, b in zip(again.variables, inst.variables))
+        assert all(a is b for a, b in zip(again.constraints, inst.constraints))
+        assert again.objective is inst.objective
 
 
 class TestInstanceValidation:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction as rat
@@ -30,6 +31,7 @@ from votelp.formulate import DELETION, ONE, POINT, ZERO, RuleSpec
 
 from helpers import (
     coverage_gap_profile,
+    is_canonical,
     profile_cycle3,
     profile_e1,
     profile_e3,
@@ -433,6 +435,71 @@ class TestSolveIP:
             no_incumbent += report.lp.status == "optimal" and report.final.status == "infeasible"
         assert "infeasible" in node_statuses
         assert deeper and no_incumbent
+
+
+class TestCanonicalAnswers:
+    """``solve_ip`` hands back its values and objective in canonical form."""
+
+    @pytest.mark.parametrize(
+        "program",
+        [
+            ("cc", "sp", 6, 10, 3, 17),
+            ("owa", "sp", 6, 10, 5, 11),
+            ("pav", "ci", 6, 15, 3, 251),
+            ("egal", "ci", 5, 6, 2, 13),
+            ("young", "sc", 6, 10, 0, 17),
+            ("cc", "random", 7, 16, 2, 6),
+            ("owa", "random", 5, 16, 2, 143),
+            ("pav", "random", 7, 16, 2, 101),
+            ("young", "random", 6, 10, 0, 73),
+        ],
+        ids=lambda p: "-".join(map(str, p)),
+    )
+    def test_values_and_objective(self, program):
+        report = solve_ip(pinned_program(*program))
+        for sol in (report.lp, report.final):
+            assert all(is_canonical(v) for v in sol.values)
+            assert is_canonical(sol.objective)
+
+    def test_branching_shape_stays_canonical(self):
+        # an off-domain-bnb shape: cc with Borda on random orders, k = 2
+        branched = 0
+        for seed in range(1, 9):
+            inst = pinned_program("cc", "random", 6, 12, 2, seed)
+            report = solve_ip(inst)
+            branched += report.branch_nodes > 0
+            if not report.lp_integral:
+                assert any(type(v) is not int for v in report.lp.values)
+            assert all(is_canonical(v) for v in report.final.values)
+            assert type(report.final.objective) is int
+        assert branched
+
+    def test_fraction_one_data_solves_like_int_data(self):
+        ints = pinned_program("cc", "random", 6, 12, 2, 13)
+        fractions = IPInstance(
+            tuple(
+                dataclasses.replace(v, lower=rat(v.lower), upper=rat(v.upper))
+                for v in ints.variables
+            ),
+            ints.objective_sense,
+            tuple((j, rat(c)) for j, c in ints.objective),
+            tuple(
+                dataclasses.replace(
+                    con, coeffs=tuple((j, rat(c)) for j, c in con.coeffs), rhs=rat(con.rhs)
+                )
+                for con in ints.constraints
+            ),
+        )
+        assert fractions == ints
+        assert all(type(v.upper) is int for v in fractions.variables)
+        assert all(type(c) is int for con in fractions.constraints for _, c in con.coeffs)
+        a, b = solve_ip(ints), solve_ip(fractions)
+        assert (a.lp.pivots, a.branch_nodes, a.final.pivots) == (
+            b.lp.pivots, b.branch_nodes, b.final.pivots
+        )
+        assert a.lp.values == b.lp.values and a.final.values == b.final.values
+        assert [type(v) for v in a.final.values] == [type(v) for v in b.final.values]
+        assert a.final.objective == b.final.objective
 
 
 def pinned_program(rule, domain, m, n, k, seed):
