@@ -66,7 +66,7 @@ from .formulate import (
     serialize_ip,
     young_ip,
 )
-from .simplex import LPSolution, SolveReport, is_integral, solve_ip, solve_lp
+from .simplex import LPSolution, SolveReport, solve_ip, solve_lp
 from .oracle import (
     OracleResult,
     brute_force_committee,

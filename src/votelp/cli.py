@@ -6,15 +6,17 @@ emit the plain text formats.  Exit status: 0 on success, 2 on malformed
 input or contradictory parameters, 3 when ``--audit --strict`` detects a
 mismatch against the oracle, 4 on an internal failure (any other
 exception), which prints ``{"error": "<ExceptionType>: <message>"}`` on
-standard output instead of a traceback.  Rationals are serialized as
-``p/q`` strings.  Reports are byte-identical across identical invocations
-except for the ``timings`` field.
+standard output instead of a traceback, and 141 (128 + SIGPIPE) when the
+reader closes standard output early, with nothing on standard error.
+Rationals are serialized as ``p/q`` strings.  Reports are byte-identical
+across identical invocations except for the ``timings`` field.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -46,6 +48,7 @@ EXIT_OK = 0
 EXIT_BAD_INPUT = 2
 EXIT_MISMATCH = 3
 EXIT_INTERNAL = 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
 
 
 class CliError(Exception):
@@ -312,7 +315,7 @@ def _cmd_young(args) -> int:
             raise CliError("too many voters for brute force; the profile is not single-crossing")
         else:  # the median-voter rule, which re-checks the ordering
             witness = oracle.young_block_median(election, ordering, args.candidate)
-            oracle_score = oracle.young_score_median(election, ordering, args.candidate)
+            oracle_score = len(witness)
         audit = {
             "oracle_score": oracle_score,
             "oracle_witness": sorted(witness),
@@ -523,13 +526,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _discard_stdout() -> None:
+    """Point standard output's descriptor at the null device, so that the
+    flush at interpreter exit does not fail on the closed pipe again.  An
+    in-memory stream has no descriptor and is left as it is."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "strict", False) and not getattr(args, "audit", False):
         parser.error("--strict requires --audit")
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return status
+    except BrokenPipeError:
+        _discard_stdout()
+        return EXIT_BROKEN_PIPE
     except (CliError, model.ProfileFormatError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_BAD_INPUT

@@ -14,6 +14,16 @@ status names.  There is no column index: each iteration builds the entering
 column once, by scanning the rows, and the ratio test, the bound flip or the
 basis change all read that one list.
 
+Columns are found by position.  The structural variables come first, then
+one slack per kept (nonempty) row, the slack of kept row i at column
+``nstruct + i``, then the artificials, every column from ``first_art`` on.
+Phase 1 starts each structural at a bound and each slack basic.  A row whose
+residual lies outside its slack's bounds starts the slack at the violated
+bound and covers the rest with an artificial of the residual's sign: bounds
+``[0, inf)`` and phase-1 cost -1 when the residual is positive, ``(-inf, 0]``
+and cost +1 when it is negative, over the row's coefficients plus the slack.
+After phase 1 every artificial is pinned at 0.
+
 The tableau runs on ``int`` where it can.  A program's bounds, right-hand
 sides and coefficients are already in canonical form (an ``int`` when
 integral, a ``Fraction`` only when not; see ``votelp.formulate``), so they
@@ -291,61 +301,52 @@ def solve_lp(inst: IPInstance, bound_overrides=None) -> LPSolution:
             continue
         kept.append((coeffs, con.sense, con.rhs))
 
+    # columns: the structurals, then the slack of kept row i at nstruct + i,
+    # then the artificials from first_art on
     tab = _Tableau()
     for lo, up in bounds:
         tab.add_var(lo, up)
     slack_bounds = {"<=": (0, None), ">=": (None, 0), "=": (0, 0)}
-    slack_of_row = []
     for coeffs, sense, rhs in kept:
-        lo, up = slack_bounds[sense]
-        slack_of_row.append(tab.add_var(lo, up))
+        tab.add_var(*slack_bounds[sense])
+    first_art = len(tab.lower)
 
-    artificials = []
     for i, (coeffs, sense, rhs) in enumerate(kept):
         value = rhs
         for j, coef in coeffs.items():
             value -= coef * tab.nonbasic_value(j)
-        slack = slack_of_row[i]
+        slack = nstruct + i
         lo, up = tab.lower[slack], tab.upper[slack]
         if (lo is None or value >= lo) and (up is None or value <= up):
             tab.add_row(dict(coeffs), slack, value)
         else:
             # start the slack at its violated bound and cover the residual
-            # with a basic artificial; the row is stored normalized so the
-            # basic variable keeps an implicit +1 coefficient
+            # with a basic artificial of the residual's sign
             rest = up if up is not None and value > up else lo
             tab.stat[slack] = _AT_LOWER if rest == lo else _AT_UPPER
-            art = tab.add_var(0, None)
-            artificials.append(art)
-            if value - rest > 0:
-                row = dict(coeffs)
-                row[slack] = 1
-                tab.add_row(row, art, value - rest)
-            else:
-                row = {j: -v for j, v in coeffs.items()}
-                row[slack] = -1
-                tab.add_row(row, art, rest - value)
+            art = tab.add_var(0, None) if value > rest else tab.add_var(None, 0)
+            tab.add_row({**coeffs, slack: 1}, art, value - rest)
 
     max_iter = 20000 + 200 * (len(kept) + len(tab.lower))
 
-    if artificials:
-        phase1 = [0] * len(tab.lower)
-        for a in artificials:
-            phase1[a] = -1
-        tab.recompute_costs(phase1)
+    if first_art < len(tab.lower):
+        # phase 1 drives every artificial toward 0: cost -1 on one that
+        # starts positive, +1 on one that starts negative
+        tab.recompute_costs(
+            [0] * first_art
+            + [-1 if up is None else 1 for up in tab.upper[first_art:]]
+        )
         status = tab.optimize(max_iter)
         if status != "optimal":  # pragma: no cover - phase 1 is bounded
             raise AssertionError("phase 1 cannot be unbounded")
-        # nonbasic artificials sit at their lower bound 0
-        art_set = set(artificials)
-        residue = sum(v for v, b in zip(tab.bval, tab.basis) if b in art_set)
-        if residue > 0:
+        # nonbasic artificials sit at their bound 0
+        if any(v for v, b in zip(tab.bval, tab.basis) if b >= first_art):
             return LPSolution("infeasible", (), None, tab.pivots)
-        for a in artificials:
-            tab.upper[a] = 0
+        for a in range(first_art, len(tab.lower)):
+            tab.lower[a] = tab.upper[a] = 0
         for r in range(len(tab.rows)):
-            if tab.basis[r] in art_set:
-                pivot_col = min((j for j in tab.rows[r] if j not in art_set), default=-1)
+            if tab.basis[r] >= first_art:
+                pivot_col = min((j for j in tab.rows[r] if j < first_art), default=-1)
                 if pivot_col >= 0:
                     tab.change_basis(r, pivot_col, 0, _AT_LOWER, tab.column(pivot_col))
                 # else: redundant row; the artificial stays pinned at 0
@@ -358,16 +359,12 @@ def solve_lp(inst: IPInstance, bound_overrides=None) -> LPSolution:
 
     # a value sitting on a bound is the program's own bound object, so a 0/1
     # vertex holds no numbers of its own
-    values = [None] * nstruct
+    values = [tab.nonbasic_value(j) for j in range(nstruct)]
     for r, b in enumerate(tab.basis):
         if b < nstruct:
             value = tab.bval[r]
             lo, up = bounds[b]
             values[b] = lo if value == lo else up if value == up else _exact(value)
-    for j in range(nstruct):
-        if values[j] is None:
-            lo, up = bounds[j]
-            values[j] = up if tab.stat[j] == _AT_UPPER else lo
     objective = 0
     for idx, coef in inst.objective:
         objective += coef * values[idx]
@@ -388,13 +385,6 @@ def _verify(inst, bounds, values) -> None:
             lhs += coef * values[idx]
         if not _holds(lhs, con.sense, con.rhs):
             raise AssertionError(f"constraint violation on {con.label}")
-
-
-def is_integral(solution: LPSolution, inst: IPInstance) -> bool:
-    """Exact zero-tolerance test of the integrality-flagged variables."""
-    if solution.status != "optimal":
-        raise ValueError("integrality is defined for optimal solutions only")
-    return _branch_variable(inst, solution) is None
 
 
 def _branch_variable(inst: IPInstance, solution: LPSolution):

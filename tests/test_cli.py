@@ -313,7 +313,7 @@ class TestAuditMismatch:
             (("solve", "--rule", "cc", "--k", "1"), "brute_force_committee"),
             (("egal", "--rule", "cc", "--k", "1"), "brute_force_egalitarian"),
             (("young", "--candidate", "b"), "young_score_bruteforce"),
-            (("young", "--candidate", "b"), "young_score_median"),
+            (("young", "--candidate", "b"), "young_block_median"),
         ],
     )
     def test_oracle_disagreement(
@@ -325,15 +325,15 @@ class TestAuditMismatch:
             best = real(*args)
             if isinstance(best, OracleResult):
                 return OracleResult(best.best_value + 1, best.argmax)
-            if isinstance(best, int):
-                return best + 1
+            if oracle_name == "young_block_median":
+                return best[1:]  # a block one voter short
             score, witness = best
             return score + 1, witness
 
         monkeypatch.setattr(votelp.cli.oracle, oracle_name, shifted)
         flags = ["--audit", "--strict"] if strict else ["--audit"]
         # the median-voter rule audits only past brute force's voter limit
-        path = sc25_file if oracle_name == "young_score_median" else e1_file
+        path = sc25_file if oracle_name == "young_block_median" else e1_file
         status = votelp.cli.main([*argv, "--input", path, *flags])
         report = json.loads(capsys.readouterr().out)
         assert status == (3 if strict else 0)
@@ -675,6 +675,24 @@ class TestErrorPaths:
 
     def test_unknown_flag_exit_2(self, e1_file):
         run_cli("solve", "--rule", "cc", "--k", "1", "--input", e1_file, "--frobnicate", expect=2)
+
+    def test_closed_pipe_exit_141(self):
+        # the profile is larger than a pipe holds, so a write meets the closed
+        # end; the child runs buffered, because an unbuffered stdout drops
+        # what a partial write left over instead of raising
+        argv = ("gen", "--kind", "random", "--m", "8", "--n", "12000", "--seed", "1")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "votelp", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert proc.stdout.readline() == b"8\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(), err) == (141, b"")
 
     def test_internal_error_exit_4(self, e1_file, monkeypatch, capsys):
         def broken(profile):

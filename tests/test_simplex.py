@@ -19,7 +19,6 @@ from votelp import (
     generate_random_linear,
     generate_single_crossing,
     generate_single_peaked,
-    is_integral,
     owa_ip,
     pav_ip,
     solve_ip,
@@ -171,9 +170,9 @@ class TestIntegerTableau:
 
     def test_zero_one_vertex_reuses_the_bound_objects(self):
         inst = cc_ip(profile_e1(), ScoringVector.borda(3), 1)
-        sol = solve_lp(inst)
-        assert is_integral(sol, inst)
-        for value, variable in zip(sol.values, inst.variables):
+        report = solve_ip(inst)
+        assert report.lp_integral
+        for value, variable in zip(report.lp.values, inst.variables):
             assert value is variable.lower or value is variable.upper
 
 
@@ -280,25 +279,87 @@ class TestVertexOracle:
         assert checked > 50  # the draw must produce plenty of feasible LPs
 
 
+def hand_built(seed):
+    """A seeded program with rational data, all three senses, right-hand
+    sides from -4 to 6, some negative lower bounds, some variables unbounded
+    above and some flagged integral."""
+    rng = random.Random(seed)
+    nv = rng.randint(2, 4)
+    variables = []
+    for j in range(nv):
+        lo = rng.choice((0, 0, -1, -2))
+        hi = None if rng.random() < 0.15 else lo + rng.randint(1, 3)
+        variables.append(var(f"x{j}", lo, hi, integral=rng.random() < 0.5))
+    objective = [(j, rat(rng.randint(-3, 3), rng.randint(1, 2))) for j in range(nv)]
+    constraints = []
+    for i in range(rng.randint(1, 4)):
+        coeffs = tuple(
+            (j, rat(rng.randint(-3, 3), rng.randint(1, 3))) for j in range(nv) if rng.random() < 0.8
+        )
+        sense = rng.choice(("<=", ">=", "="))
+        constraints.append(Constraint(coeffs, sense, rat(rng.randint(-4, 6)), f"c{i}"))
+    return lp(variables, rng.choice(("max", "min")), objective, constraints)
+
+
+# Cases that the built programs of PINNED below do not pin: a row whose
+# residual at the starting bounds is negative, negative lower bounds, an
+# infeasible phase 1, an unbounded phase 2 and branching.  Like PINNED, these
+# change only when the pivot path does.
+HAND_BUILT = [
+    # seed: final status, root pivots, root integral, branch nodes, objective
+    (7, "optimal", 2, True, 0, "-27/2"),
+    (35, "optimal", 3, True, 0, "-13"),
+    (37, "optimal", 4, True, 0, "-5/2"),
+    (53, "optimal", 6, True, 0, "-3"),
+    (19, "infeasible", 3, False, 0, None),
+    (4, "unbounded", 1, False, 0, None),
+    (33, "optimal", 3, False, 10, "-1/2"),
+    (58, "optimal", 2, False, 12, "1"),
+]
+
+
+@pytest.mark.parametrize(
+    "seed, expected", [(p[0], p[1:]) for p in HAND_BUILT], ids=[f"seed{p[0]}" for p in HAND_BUILT]
+)
+def test_hand_built_pivot_path_is_pinned(seed, expected):
+    report = solve_ip(hand_built(seed))
+    objective = report.final.objective
+    assert (
+        report.final.status,
+        report.lp.pivots,
+        report.lp_integral,
+        report.branch_nodes,
+        None if objective is None else str(objective),
+    ) == expected
+
+
+def test_hand_built_table_covers_phase_one():
+    """The table keeps every case it was chosen for."""
+    programs = [hand_built(p[0]) for p in HAND_BUILT]
+    rows = [con for inst in programs for con in inst.constraints if con.coeffs]
+    assert any(con.sense == "<=" and con.rhs < 0 for con in rows)
+    assert any(con.sense == "=" and con.rhs < 0 for con in rows)
+    assert any(v.lower < 0 for inst in programs for v in inst.variables)
+    outcomes = {(p[1], p[2] > 0, p[4] > 0) for p in HAND_BUILT}
+    assert ("infeasible", True, False) in outcomes  # decided in phase 1
+    assert ("unbounded", True, False) in outcomes
+    assert ("optimal", True, True) in outcomes  # branched
+
+
 class TestIntegralityFlag:
     def test_integral_and_fractional(self):
-        inst = cc_ip(profile_e1(), ScoringVector.borda(3), 1)
-        report = solve_ip(inst)
-        assert is_integral(report.lp, inst)
+        assert solve_ip(cc_ip(profile_e1(), ScoringVector.borda(3), 1)).lp_integral
         frac = lp(
             [var("x", 0, 1, integral=True)],
             "max",
             [(0, ONE)],
             [Constraint(((0, rat(2)),), "<=", ONE, "half")],
         )
-        sol = solve_lp(frac)
-        assert not is_integral(sol, frac)
-
-    def test_requires_optimal(self):
-        inst = lp([var("x")], "max", [(0, ONE)], [Constraint(((0, ONE),), ">=", rat(2), "no")])
-        sol = solve_lp(inst)
-        with pytest.raises(ValueError):
-            is_integral(sol, inst)
+        report = solve_ip(frac)
+        assert report.lp.values == (rat(1, 2),)
+        assert not report.lp_integral
+        infeasible = lp([var("x")], "max", [(0, ONE)], [Constraint(((0, ONE),), ">=", rat(2), "no")])
+        assert not solve_ip(infeasible).lp_integral
 
 
 class TestSolveIP:
@@ -430,7 +491,7 @@ class TestSolveIP:
                 assert report.final.status == "infeasible"
             else:
                 assert report.final.objective == best
-                assert is_integral(report.final, inst)
+                assert all(type(v) is int for v in report.final.values)
             deeper += report.branch_nodes > 2
             no_incumbent += report.lp.status == "optimal" and report.final.status == "infeasible"
         assert "infeasible" in node_statuses
