@@ -55,8 +55,20 @@ def _exact_pairs(pairs: tuple) -> tuple:
     return tuple((j, _exact(v)) for j, v in pairs)
 
 
+def _check_box(var, lower, upper) -> None:
+    """Refuse the box [lower, upper] (``None``: unbounded) for ``var`` when an
+    integral variable would be unbounded or any variable free.  Branching
+    then only ever shrinks a finite integer box, so branch-and-bound ends."""
+    if lower is None or upper is None:
+        if var.integral:
+            raise ValueError(f"integral variable {var.name} needs a finite lower and upper bound")
+        if lower is None and upper is None:
+            raise ValueError(f"variable {var.name} is free; it needs a lower or an upper bound")
+
+
 def _exact_variable(var):
     lower, upper = _exact(var.lower), _exact(var.upper)
+    _check_box(var, lower, upper)
     if lower is var.lower and upper is var.upper:
         return var
     return replace(var, lower=lower, upper=upper)
@@ -160,8 +172,8 @@ class RuleSpec:
 class Variable:
     name: str
     role: str  # COMMITTEE | POINT | DELETION
-    lower: object
-    upper: object  # None means unbounded above
+    lower: object  # None means unbounded below
+    upper: object  # None means unbounded above; see _check_box
     integral: bool
     voters: tuple = ()  # a deletion variable's voters, lowest index first
 
@@ -177,7 +189,8 @@ class Constraint:
 @dataclass(frozen=True)
 class IPInstance:
     """Sparse exact optimization instance; every bound, coefficient and
-    right-hand side is put into canonical form (see the module docstring)."""
+    right-hand side is put into canonical form (see the module docstring),
+    and every variable's box is checked by ``_check_box``."""
 
     variables: tuple
     objective_sense: str  # "max" | "min"

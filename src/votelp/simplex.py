@@ -40,6 +40,8 @@ verifier and the objective sum multiply the program's numbers as they are.
 produced an integral vertex; only if it did not does depth-first
 branch-and-bound start, branching on the most fractional
 integrality-flagged variable with exact-rational incumbent pruning.
+``IPInstance`` refuses an integral variable without two finite bounds and a
+free variable, so every branch shrinks a finite box and the search ends.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .formulate import IPInstance, _exact, extract_solution
+from .formulate import IPInstance, _check_box, _exact, extract_solution
 
 _AT_LOWER = 0
 _AT_UPPER = 1
@@ -118,12 +120,7 @@ class _Tableau:
     def add_var(self, lower, upper) -> int:
         self.lower.append(lower)
         self.upper.append(upper)
-        if lower is not None:
-            self.stat.append(_AT_LOWER)
-        elif upper is not None:
-            self.stat.append(_AT_UPPER)
-        else:
-            raise NotImplementedError("free variables are not supported")
+        self.stat.append(_AT_UPPER if lower is None else _AT_LOWER)  # no variable is free
         return len(self.lower) - 1
 
     def add_row(self, coeffs: dict, basic: int, value) -> None:
@@ -271,10 +268,12 @@ def solve_lp(inst: IPInstance, bound_overrides=None) -> LPSolution:
 
     Optional ``bound_overrides`` maps variable index to a (lower, upper) pair
     in canonical form; the branch-and-bound driver uses it to tighten bounds
-    per node.
+    per node.  ``_check_box`` holds each override to the program's own rule.
     """
     nstruct = inst.num_vars
     overrides = bound_overrides or {}
+    for j, (lo, up) in overrides.items():
+        _check_box(inst.variables[j], lo, up)
     bounds = []
     for j, var in enumerate(inst.variables):
         lo, up = overrides.get(j, (var.lower, var.upper))
@@ -375,9 +374,7 @@ def solve_lp(inst: IPInstance, bound_overrides=None) -> LPSolution:
 def _verify(inst, bounds, values) -> None:
     """Exact feasibility check of a claimed optimal solution."""
     for j, (lo, up) in enumerate(bounds):
-        if lo is not None and values[j] < lo:
-            raise AssertionError(f"bound violation on {inst.variables[j].name}")
-        if up is not None and values[j] > up:
+        if (lo is not None and values[j] < lo) or (up is not None and values[j] > up):
             raise AssertionError(f"bound violation on {inst.variables[j].name}")
     for con in inst.constraints:
         lhs = 0
@@ -411,6 +408,8 @@ def solve_ip(inst: IPInstance) -> SolveReport:
     incumbent.  The flags alone decide what must be integral; the committee
     programs flag only their committee variables, because their continuous
     point variables are integral at any vertex whose committee is.
+    The search ends: every integral variable has a finite box, each branch
+    leaves fewer integers in it, and an empty box is an infeasible child.
     """
     root = solve_lp(inst)
     if root.status != "optimal":
@@ -443,10 +442,7 @@ def solve_ip(inst: IPInstance) -> SolveReport:
     if incumbent is None:
         final = LPSolution("infeasible", (), None, 0)
         return SolveReport(root, False, nodes, final, None)
-    if maximize:
-        assert root.objective >= incumbent.objective
-    else:
-        assert root.objective <= incumbent.objective
+    assert not better(incumbent.objective, root.objective)
     return SolveReport(
         root, False, nodes, incumbent, extract_solution(inst, incumbent.values)
     )
@@ -455,12 +451,14 @@ def solve_ip(inst: IPInstance) -> SolveReport:
 def _split(inst, overrides, var, value):
     """Child bound sets for branching ``var`` at a fractional ``value``.
 
-    The down branch is returned last so depth-first search explores it first.
+    ``_verify`` put ``value`` in ``[lo, up]``, so the children ``[lo, floor]``
+    and ``[floor + 1, up]`` each hold fewer integers.  The down branch is
+    returned last so depth-first search explores it first.
     """
     lo, up = overrides.get(var, (inst.variables[var].lower, inst.variables[var].upper))
     floor = math.floor(value)
     down = dict(overrides)
-    down[var] = (lo, floor if up is None else min(up, floor))
+    down[var] = (lo, floor)
     upb = dict(overrides)
-    upb[var] = (max(lo, floor + 1) if lo is not None else floor + 1, up)
+    upb[var] = (floor + 1, up)
     return [upb, down]

@@ -83,6 +83,22 @@ def coverage_gap_profile() -> Profile:
     return ranked("a b c d", *orders)
 
 
+def flat_ray_program(upper=None):
+    """Integral x0..x4 with max -x0 + x1/2 + 2x2/3 + x3 - x4 subject to
+    x0/3 - 3x1/2 + x2/2 + 3x4 = -3/2.  Integrality forces x0 = x2 = 0 and
+    x1 = 2x4 + 1, so the integer optimum 1/2 holds along a ray.  ``upper``
+    bounds x1 and x4 above; with ``None`` branch-and-bound on the program
+    would raise their lower bounds without end."""
+    from votelp import Constraint, IPInstance, Variable
+
+    half = Fraction(1, 2)
+    boxes = [(-2, 1), (-half, upper), (-half, half), (-1, 0), (-2, upper)]
+    variables = tuple(Variable(f"x{j}", "point", lo, up, True) for j, (lo, up) in enumerate(boxes))
+    objective = ((0, -1), (1, half), (2, Fraction(2, 3)), (3, 1), (4, -1))
+    row = ((0, Fraction(1, 3)), (1, Fraction(-3, 2)), (2, half), (4, 3))
+    return IPInstance(variables, "max", objective, (Constraint(row, "=", -3 * half, "ray"),))
+
+
 def random_binary_matrix(rng: random.Random, max_rows: int, max_cols: int):
     from votelp import BinaryMatrix
 

@@ -48,6 +48,7 @@ from votelp.model import WeakOrder, default_alternative_names
 
 from helpers import (
     approval,
+    flat_ray_program,
     is_canonical,
     profile_e1,
     profile_e2,
@@ -819,6 +820,41 @@ class TestInstanceValidation:
         row = Constraint(tuple((j, rat(1)) for j in indices), "<=", rat(1), "twice")
         with pytest.raises(ValueError, match="twice"):
             IPInstance(variables, "max", ((0, rat(1)), (1, rat(1))), (row,))
+
+    def test_unbounded_integral_variable_is_refused(self):
+        # branch-and-bound on this program raised x1's and x4's lower bounds
+        # without end
+        with pytest.raises(ValueError, match="integral variable x1 "):
+            flat_ray_program()
+
+    @pytest.mark.parametrize("lower, upper", [(None, rat(1)), (rat(0), None)])
+    def test_integral_variable_needs_both_bounds(self, lower, upper):
+        from votelp import Variable
+
+        d = Variable("d", "deletion", lower, upper, True)
+        with pytest.raises(ValueError, match="integral variable d "):
+            IPInstance((d,), "min", ((0, rat(1)),), ())
+
+    def test_free_variable_is_refused_when_built(self):
+        from votelp import Variable
+
+        z = Variable("z", "point", None, None, False)
+        with pytest.raises(ValueError, match="variable z is free"):
+            IPInstance((z,), "max", ((0, rat(1)),), ())
+
+    def test_one_sided_continuous_variables_are_kept(self):
+        from votelp import Variable
+
+        below = Variable("u", "point", None, rat(0), False)
+        above = Variable("v", "point", rat(0), None, False)
+        inst = IPInstance((below, above), "max", ((0, rat(1)), (1, rat(-1))), ())
+        assert solve_lp(inst).values == (0, 0)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_built_programs_box_every_integral_variable(self, seed):
+        for inst in seeded_programs(seed):
+            boxes = [(var.lower, var.upper) for var in inst.variables if var.integral]
+            assert boxes and all(None not in box for box in boxes)
 
 
 class TestSerialization:

@@ -30,6 +30,7 @@ from votelp.formulate import DELETION, ONE, POINT, ZERO, RuleSpec
 
 from helpers import (
     coverage_gap_profile,
+    flat_ray_program,
     is_canonical,
     profile_cycle3,
     profile_e1,
@@ -120,6 +121,16 @@ class TestBasicLPs:
         inst = lp([var("x")], "max", [(0, ONE)], [])
         sol = solve_lp(inst, bound_overrides={0: (ONE, ZERO)})
         assert sol.status == "infeasible"
+
+    def test_bound_override_keeps_an_integral_box(self):
+        inst = lp([var("d", 0, 2, integral=True)], "max", [(0, ONE)], [])
+        with pytest.raises(ValueError, match="integral variable d "):
+            solve_lp(inst, bound_overrides={0: (0, None)})
+
+    def test_bound_override_cannot_free_a_variable(self):
+        inst = lp([var("x", 0, None)], "min", [(0, ONE)], [])
+        with pytest.raises(ValueError, match="variable x is free"):
+            solve_lp(inst, bound_overrides={0: (None, None)})
 
 
 class TestIntegerTableau:
@@ -281,15 +292,19 @@ class TestVertexOracle:
 
 def hand_built(seed):
     """A seeded program with rational data, all three senses, right-hand
-    sides from -4 to 6, some negative lower bounds, some variables unbounded
-    above and some flagged integral."""
+    sides from -4 to 6, some negative lower bounds, some continuous variables
+    unbounded above and some variables flagged integral, each in a finite
+    box."""
     rng = random.Random(seed)
     nv = rng.randint(2, 4)
     variables = []
     for j in range(nv):
         lo = rng.choice((0, 0, -1, -2))
         hi = None if rng.random() < 0.15 else lo + rng.randint(1, 3)
-        variables.append(var(f"x{j}", lo, hi, integral=rng.random() < 0.5))
+        integral = rng.random() < 0.5
+        if integral and hi is None:
+            hi = lo + rng.randint(1, 3)
+        variables.append(var(f"x{j}", lo, hi, integral=integral))
     objective = [(j, rat(rng.randint(-3, 3), rng.randint(1, 2))) for j in range(nv)]
     constraints = []
     for i in range(rng.randint(1, 4)):
@@ -307,14 +322,15 @@ def hand_built(seed):
 # change only when the pivot path does.
 HAND_BUILT = [
     # seed: final status, root pivots, root integral, branch nodes, objective
-    (7, "optimal", 2, True, 0, "-27/2"),
+    (4, "optimal", 2, True, 0, "0"),
     (35, "optimal", 3, True, 0, "-13"),
     (37, "optimal", 4, True, 0, "-5/2"),
     (53, "optimal", 6, True, 0, "-3"),
+    (7, "infeasible", 2, False, 0, None),
     (19, "infeasible", 3, False, 0, None),
-    (4, "unbounded", 1, False, 0, None),
+    (415, "unbounded", 1, False, 0, None),
     (33, "optimal", 3, False, 10, "-1/2"),
-    (58, "optimal", 2, False, 12, "1"),
+    (58, "optimal", 2, False, 10, "0"),
 ]
 
 
@@ -344,6 +360,16 @@ def test_hand_built_table_covers_phase_one():
     assert ("infeasible", True, False) in outcomes  # decided in phase 1
     assert ("unbounded", True, False) in outcomes
     assert ("optimal", True, True) in outcomes  # branched
+
+
+@pytest.mark.parametrize("upper, nodes", [(3, 14), (10, 26)])
+def test_flat_ray_ends_in_its_box(upper, nodes):
+    """The integer optimum 1/2 holds all along x1 = 2 x4 + 1, so no bound
+    prunes the ray; the search ends because the box does."""
+    report = solve_ip(flat_ray_program(upper))
+    assert (report.final.status, report.final.objective) == ("optimal", rat(1, 2))
+    assert report.final.values == (0, 1, 0, 0, 0)
+    assert report.branch_nodes == nodes
 
 
 class TestIntegralityFlag:
